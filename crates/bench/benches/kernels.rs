@@ -143,11 +143,13 @@ fn bench_matmul_kernels(c: &mut Criterion) {
 }
 
 fn bench_attention(c: &mut Criterion) {
+    // The cold rows run each forward on a fresh arena, so every
+    // intermediate is allocated; the warm row below reuses one arena.
     let mut r = rng(1);
     let attn = SelfAttention::new(64, 64, &mut r);
     let x = Matrix::xavier(9, 64, &mut r);
     c.bench_function("self_attention_forward_9x64", |b| {
-        b.iter(|| black_box(attn.infer(&x)))
+        b.iter(|| black_box(attn.infer_batch_in(&x, 1, &mut ScratchArena::new())))
     });
     let amma = Amma::new(9, 1, AmmaConfig::default(), &mut r);
     let input = ModalInput {
@@ -155,22 +157,22 @@ fn bench_attention(c: &mut Criterion) {
         pc: Matrix::xavier(9, 1, &mut r),
     };
     c.bench_function("amma_infer_default", |b| {
-        b.iter(|| black_box(amma.infer(&input, 0)))
+        b.iter(|| black_box(amma.infer_batch_in(&input, 1, 0, &mut ScratchArena::new())))
     });
     let paper = Amma::new(9, 1, AmmaConfig::paper(), &mut r);
     c.bench_function("amma_infer_paper_dims", |b| {
-        b.iter(|| black_box(paper.infer(&input, 0)))
+        b.iter(|| black_box(paper.infer_batch_in(&input, 1, 0, &mut ScratchArena::new())))
     });
     // Warm-arena path: after warmup the arena free-lists satisfy every
     // request, so this measures the allocation-free steady state.
     let mut arena = ScratchArena::new();
     for _ in 0..4 {
-        let y = amma.infer_in(&input, 0, &mut arena);
+        let y = amma.infer_batch_in(&input, 1, 0, &mut arena);
         arena.give(y);
     }
     c.bench_function("amma_infer_in_warm_arena", |b| {
         b.iter(|| {
-            let y = amma.infer_in(black_box(&input), 0, &mut arena);
+            let y = amma.infer_batch_in(black_box(&input), 1, 0, &mut arena);
             let v = y.data[0];
             arena.give(y);
             black_box(v)

@@ -21,8 +21,7 @@
 
 use mpgraph_ml::arena::ScratchArena;
 use mpgraph_ml::attention::SelfAttention;
-use mpgraph_ml::layers::{Embedding, Linear, Module, Param};
-use mpgraph_ml::qinfer::{QuantSelfAttention, QuantTransformerLayer};
+use mpgraph_ml::layers::{Embedding, Linear, Module, Param, Project};
 use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
 use mpgraph_ml::transformer::TransformerLayer;
@@ -87,167 +86,26 @@ pub struct ModalInput {
     pub pc: Matrix,
 }
 
-/// The AMMA backbone (feature extractor).
+/// The AMMA backbone (feature extractor). `P` is the projection weight
+/// type of the attention layers and `L` the dense-layer type of the
+/// modality embeddings and FFNs: the trained model is `Amma` (f32), and
+/// [`Amma::quantized`] builds the `Amma<QuantizedLinear, QuantizedLinear>`
+/// int8 snapshot. Positional encodings, residual adds, softmax, layer norms
+/// and the phase embedding stay f32 in both.
 #[derive(Debug, Clone)]
-pub struct Amma {
+pub struct Amma<P = Param, L = Linear> {
     pub cfg: AmmaConfig,
-    embed_addr: Linear,
-    embed_pc: Linear,
-    attn_addr: SelfAttention,
-    attn_pc: SelfAttention,
+    embed_addr: L,
+    embed_pc: L,
+    attn_addr: SelfAttention<P>,
+    attn_pc: SelfAttention<P>,
     /// Multi-modality attention fusion over the concatenated embeddings.
-    fusion: SelfAttention,
-    trans: Vec<TransformerLayer>,
+    fusion: SelfAttention<P>,
+    trans: Vec<TransformerLayer<P, L>>,
     /// Optional phase-informed side input (AMMA-PI): one embedding per
     /// phase, added to the fused representation after the MMAF layer.
     phase_embed: Option<Embedding>,
-    /// Int8 inference snapshot ([`QuantAmma`]); rebuilt by
-    /// [`Amma::quantize`], invalidated by any training forward.
-    quant: Option<QuantAmma>,
     cache_rows: usize,
-}
-
-/// Int8 snapshot of an [`Amma`]: every weight-side matmul (modality
-/// embeddings, Q/K/V projections, FFN layers) runs through
-/// [`QuantizedLinear`]'s i8×i8→i32 path with per-output-channel scales;
-/// positional encodings, residual adds, softmax, layer norms and the phase
-/// embedding stay f32. Control flow mirrors [`Amma::infer_in`] /
-/// [`Amma::infer_batch_in`] line for line.
-#[derive(Debug, Clone)]
-pub struct QuantAmma {
-    embed_addr: QuantizedLinear,
-    embed_pc: QuantizedLinear,
-    attn_addr: QuantSelfAttention,
-    attn_pc: QuantSelfAttention,
-    fusion: QuantSelfAttention,
-    trans: Vec<QuantTransformerLayer>,
-    phase_embed: Option<Embedding>,
-}
-
-impl QuantAmma {
-    pub fn from_amma(a: &Amma) -> Self {
-        QuantAmma {
-            embed_addr: QuantizedLinear::from_linear(&a.embed_addr),
-            embed_pc: QuantizedLinear::from_linear(&a.embed_pc),
-            attn_addr: QuantSelfAttention::from_attention(&a.attn_addr),
-            attn_pc: QuantSelfAttention::from_attention(&a.attn_pc),
-            fusion: QuantSelfAttention::from_attention(&a.fusion),
-            trans: a
-                .trans
-                .iter()
-                .map(QuantTransformerLayer::from_layer)
-                .collect(),
-            phase_embed: a.phase_embed.clone(),
-        }
-    }
-
-    /// Serialized model size: int8 weights + f32 scales/biases, plus the
-    /// f32 phase-embedding table (small, accuracy-critical).
-    pub fn storage_bytes(&self) -> usize {
-        let pe = self
-            .phase_embed
-            .as_ref()
-            .map_or(0, |e| 4 * e.table.w.data.len());
-        self.embed_addr.storage_bytes()
-            + self.embed_pc.storage_bytes()
-            + self.attn_addr.storage_bytes()
-            + self.attn_pc.storage_bytes()
-            + self.fusion.storage_bytes()
-            + self
-                .trans
-                .iter()
-                .map(QuantTransformerLayer::storage_bytes)
-                .sum::<usize>()
-            + pe
-    }
-
-    /// Mirrors [`Amma::infer_in`].
-    pub fn infer_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional(&mut ea);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional(&mut ep);
-        let mut ha = self.attn_addr.infer_in(&ea, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_in(&ep, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_in(&fused_in, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_in(&h, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(1, h.cols);
-        pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-        s.give(h);
-        pooled
-    }
-
-    /// Mirrors [`Amma::infer_batch_in`]: row `b` of the result is
-    /// bit-identical to [`QuantAmma::infer_in`] on sequence `b` alone.
-    pub fn infer_batch_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        assert!(
-            batch > 0 && x.addr.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.addr.rows / batch;
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional_per_seq(&mut ea, seq);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional_per_seq(&mut ep, seq);
-        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_batch_in(&fused_in, batch, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_batch_in(&h, batch, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
-    }
 }
 
 impl Amma {
@@ -263,7 +121,6 @@ impl Amma {
                 .map(|_| TransformerLayer::new(cfg.fusion_dim, cfg.heads, rng))
                 .collect(),
             phase_embed: None,
-            quant: None,
             cache_rows: 0,
             cfg,
         }
@@ -272,58 +129,23 @@ impl Amma {
     /// Enables the phase-informed variant (AMMA-PI) for `num_phases`.
     pub fn with_phase_embedding(mut self, num_phases: usize, rng: &mut ChaCha8Rng) -> Self {
         self.phase_embed = Some(Embedding::new(num_phases, self.cfg.fusion_dim, rng));
-        self.quant = None;
         self
     }
 
-    /// Builds (or rebuilds) the int8 inference snapshot consumed by
-    /// [`Amma::infer_quant_in`]. Call after training has converged; any
-    /// later training forward invalidates the snapshot.
-    pub fn quantize(&mut self) {
-        self.quant = Some(QuantAmma::from_amma(self));
-    }
-
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// Size of the int8 snapshot, if one exists.
-    pub fn quant_storage_bytes(&self) -> Option<usize> {
-        self.quant.as_ref().map(QuantAmma::storage_bytes)
-    }
-
-    /// Int8 forward; falls back to the f32 [`Amma::infer_in`] when no
-    /// snapshot exists (so callers can flip quantization on without
-    /// branching).
-    pub fn infer_quant_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        match &self.quant {
-            Some(q) => q.infer_in(x, phase, s),
-            None => self.infer_in(x, phase, s),
+    /// Int8 snapshot of the current weights: every weight-side product
+    /// runs through [`QuantizedLinear`] with per-output-channel scales.
+    pub fn quantized(&self) -> Amma<QuantizedLinear, QuantizedLinear> {
+        Amma {
+            cfg: self.cfg,
+            embed_addr: QuantizedLinear::from_linear(&self.embed_addr),
+            embed_pc: QuantizedLinear::from_linear(&self.embed_pc),
+            attn_addr: self.attn_addr.quantized(),
+            attn_pc: self.attn_pc.quantized(),
+            fusion: self.fusion.quantized(),
+            trans: self.trans.iter().map(TransformerLayer::quantized).collect(),
+            phase_embed: self.phase_embed.clone(),
+            cache_rows: 0,
         }
-    }
-
-    /// Batched int8 forward; falls back to [`Amma::infer_batch_in`] when
-    /// no snapshot exists.
-    pub fn infer_batch_quant_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        match &self.quant {
-            Some(q) => q.infer_batch_in(x, batch, phase, s),
-            None => self.infer_batch_in(x, batch, phase, s),
-        }
-    }
-
-    pub fn is_phase_informed(&self) -> bool {
-        self.phase_embed.is_some()
-    }
-
-    /// Output dimension of the pooled representation.
-    pub fn out_dim(&self) -> usize {
-        self.cfg.fusion_dim
     }
 
     fn fuse(a: &Matrix, b: &Matrix) -> Matrix {
@@ -348,18 +170,12 @@ impl Amma {
         (da, db)
     }
 
-    /// Sequence readout: the last position's representation (the standard
-    /// next-token readout — with attention underneath, the last position
-    /// already aggregates the whole history; mean pooling would dilute it).
-    fn pool(h: &Matrix) -> Matrix {
-        Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-    }
-
-    /// Training forward: pooled `[1, fusion_dim]` representation.
-    /// `phase` is consumed only by the phase-informed variant.
+    /// Training forward: pooled `[1, fusion_dim]` representation — the
+    /// last position's row (the standard next-token readout; with
+    /// attention underneath, the last position already aggregates the
+    /// whole history, and mean pooling would dilute it). `phase` is
+    /// consumed only by the phase-informed variant.
     pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
-        // Training moves the weights; the int8 snapshot is stale from here.
-        self.quant = None;
         self.cache_rows = x.addr.rows;
         let pe = mpgraph_ml::tensor::positional_encoding(x.addr.rows, self.cfg.attn_dim);
         let mut ea = self.embed_addr.forward(&x.addr);
@@ -383,128 +199,7 @@ impl Amma {
         for t in self.trans.iter_mut() {
             h = t.forward(&h);
         }
-        Self::pool(&h)
-    }
-
-    /// Inference forward (no caches).
-    pub fn infer(&self, x: &ModalInput, phase: usize) -> Matrix {
-        let pe = mpgraph_ml::tensor::positional_encoding(x.addr.rows, self.cfg.attn_dim);
-        let mut ea = self.embed_addr.infer(&x.addr);
-        ea.add_assign(&pe);
-        let mut ep = self.embed_pc.infer(&x.pc);
-        ep.add_assign(&pe);
-        let mut ha = self.attn_addr.infer(&ea);
-        ha.add_assign(&ea);
-        let mut hp = self.attn_pc.infer(&ep);
-        hp.add_assign(&ep);
-        let fused_in = Self::fuse(&ha, &hp);
-        let mut h = self.fusion.infer(&fused_in);
-        h.add_assign(&fused_in);
-        if let Some(pe) = &self.phase_embed {
-            let e = pe.infer(&vec![phase; h.rows]);
-            h.add_assign(&e);
-        }
-        for t in &self.trans {
-            h = t.infer(&h);
-        }
-        Self::pool(&h)
-    }
-
-    /// Inference through arena-owned scratch buffers: bit-identical to
-    /// [`Amma::infer`], but allocation-free after the arena warms up. This
-    /// is the prefetcher hot path — one call per predicted access.
-    pub fn infer_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional(&mut ea);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional(&mut ep);
-        let mut ha = self.attn_addr.infer_in(&ea, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_in(&ep, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_in(&fused_in, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            // Same values as adding the repeated-token embedding matrix,
-            // without materializing it.
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_in(&h, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(1, h.cols);
-        pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-        s.give(h);
-        pooled
-    }
-
-    /// Batched inference over `batch` stacked sequences: `x.addr`/`x.pc`
-    /// are `[batch * T, F]` with each sequence contiguous. The linear
-    /// embeddings, fusion concat, phase broadcast, and transformer FFNs
-    /// fuse across the whole stack; self-attention and the positional
-    /// encoding stay per-sequence. Returns `[batch, fusion_dim]` with row
-    /// `b` bit-identical to [`Amma::infer_in`] on sequence `b` alone (the
-    /// whole batch shares one `phase`).
-    pub fn infer_batch_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        assert!(
-            batch > 0 && x.addr.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.addr.rows / batch;
-        let mut ea = self.embed_addr.infer_in(&x.addr, s);
-        s.add_positional_per_seq(&mut ea, seq);
-        let mut ep = self.embed_pc.infer_in(&x.pc, s);
-        s.add_positional_per_seq(&mut ep, seq);
-        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, s);
-        ha.add_assign(&ea);
-        s.give(ea);
-        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, s);
-        hp.add_assign(&ep);
-        s.give(ep);
-        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
-        let a_cols = ha.cols;
-        for r in 0..ha.rows {
-            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
-            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
-        }
-        s.give(ha);
-        s.give(hp);
-        let mut h = self.fusion.infer_batch_in(&fused_in, batch, s);
-        h.add_assign(&fused_in);
-        s.give(fused_in);
-        if let Some(pe) = &self.phase_embed {
-            pe.add_row_broadcast(phase, &mut h);
-        }
-        for t in &self.trans {
-            let h2 = t.infer_batch_in(&h, batch, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
+        Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
     }
 
     /// Backward from the pooled gradient `[1, fusion_dim]`. Returns the
@@ -534,6 +229,93 @@ impl Amma {
         let d_addr = self.embed_addr.backward(&d_ea);
         let d_pc = self.embed_pc.backward(&d_ep);
         (d_addr, d_pc)
+    }
+}
+
+impl<P: Project, L: Project> Amma<P, L> {
+    pub fn is_phase_informed(&self) -> bool {
+        self.phase_embed.is_some()
+    }
+
+    /// Output dimension of the pooled representation.
+    pub fn out_dim(&self) -> usize {
+        self.cfg.fusion_dim
+    }
+
+    /// Deployed size: the projections plus the f32 phase-embedding table
+    /// (small, accuracy-critical).
+    pub fn storage_bytes(&self) -> usize {
+        self.embed_addr.storage_bytes()
+            + self.embed_pc.storage_bytes()
+            + self.attn_addr.storage_bytes()
+            + self.attn_pc.storage_bytes()
+            + self.fusion.storage_bytes()
+            + self
+                .trans
+                .iter()
+                .map(TransformerLayer::storage_bytes)
+                .sum::<usize>()
+            + self.phase_embed.as_ref().map_or(0, Project::storage_bytes)
+    }
+
+    /// Inference over `batch` stacked sequences: `x.addr`/`x.pc` are
+    /// `[batch * T, F]` with each sequence contiguous (a single window is
+    /// `batch = 1`). The linear embeddings, fusion concat, phase broadcast,
+    /// and transformer FFNs fuse across the whole stack; self-attention and
+    /// the positional encoding stay per-sequence. Returns
+    /// `[batch, fusion_dim]`, the last-position readout of each sequence,
+    /// with row `b` bit-identical to sequence `b` run alone (the whole
+    /// batch shares one `phase`). Allocation-free once `s` is warm — this
+    /// is the prefetcher hot path.
+    pub fn infer_batch_in(
+        &self,
+        x: &ModalInput,
+        batch: usize,
+        phase: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        assert!(
+            batch > 0 && x.addr.rows.is_multiple_of(batch),
+            "rows must tile by batch"
+        );
+        let seq = x.addr.rows / batch;
+        let mut ea = self.embed_addr.project_in(&x.addr, s);
+        s.add_positional_per_seq(&mut ea, seq);
+        let mut ep = self.embed_pc.project_in(&x.pc, s);
+        s.add_positional_per_seq(&mut ep, seq);
+        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, s);
+        ha.add_assign(&ea);
+        s.give(ea);
+        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, s);
+        hp.add_assign(&ep);
+        s.give(ep);
+        let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
+        let a_cols = ha.cols;
+        for r in 0..ha.rows {
+            fused_in.row_mut(r)[..a_cols].copy_from_slice(ha.row(r));
+            fused_in.row_mut(r)[a_cols..].copy_from_slice(hp.row(r));
+        }
+        s.give(ha);
+        s.give(hp);
+        let mut h = self.fusion.infer_batch_in(&fused_in, batch, s);
+        h.add_assign(&fused_in);
+        s.give(fused_in);
+        if let Some(pe) = &self.phase_embed {
+            // Same values as adding the repeated-token embedding matrix,
+            // without materializing it.
+            pe.add_row_broadcast(phase, &mut h);
+        }
+        for t in &self.trans {
+            let h2 = t.infer_batch_in(&h, batch, s);
+            s.give(h);
+            h = h2;
+        }
+        let mut pooled = s.take(batch, h.cols);
+        for b in 0..batch {
+            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
+        }
+        s.give(h);
+        pooled
     }
 }
 
@@ -570,8 +352,13 @@ impl Module for Amma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
     use mpgraph_ml::optim::Adam;
     use mpgraph_ml::tensor::rng;
+
+    fn infer(amma: &Amma, x: &ModalInput, phase: usize) -> Matrix {
+        amma.infer_batch_in(x, 1, phase, &mut ScratchArena::new())
+    }
 
     fn tiny_cfg() -> AmmaConfig {
         AmmaConfig {
@@ -601,37 +388,22 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn inference_tracks_training_forward() {
         let mut r = rng(3);
         let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
         let x = input(4, 5);
         let a = amma.forward(&x, 0);
-        let b = amma.infer(&x, 0);
-        for (p, q) in a.data.iter().zip(b.data.iter()) {
-            assert!((p - q).abs() < 1e-6);
-        }
+        assert!(max_abs_diff(&a.data, &infer(&amma, &x, 0).data) < 1e-6);
     }
 
     #[test]
-    fn arena_infer_is_bit_identical_and_allocation_free() {
+    fn batched_rows_match_single_for_f32_and_int8() {
         let mut r = rng(11);
         // Phase-informed variant exercises the broadcast path too.
         let amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(3, &mut r);
-        let x = input(12, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        for phase in [0usize, 2, 1] {
-            let baseline = amma.infer(&x, phase);
-            let y = amma.infer_in(&x, phase, &mut s);
-            assert_eq!(y.data, baseline.data, "phase {phase}");
-            s.give(y);
-        }
-        let (_, misses_warm) = s.stats();
-        for _ in 0..4 {
-            let y = amma.infer_in(&x, 1, &mut s);
-            s.give(y);
-        }
-        let (_, misses) = s.stats();
-        assert_eq!(misses, misses_warm, "steady state must not allocate");
+        let q = amma.quantized();
+        assert_batch_rows_match_single(5, 4, 3, |x, b, p, s| amma.infer_batch_in(x, b, p, s));
+        assert_batch_rows_match_single(5, 4, 3, |x, b, p, s| q.infer_batch_in(x, b, p, s));
     }
 
     #[test]
@@ -639,8 +411,8 @@ mod tests {
         let mut r = rng(5);
         let amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
         let x = input(6, 5);
-        let y0 = amma.infer(&x, 0);
-        let y1 = amma.infer(&x, 1);
+        let y0 = infer(&amma, &x, 0);
+        let y1 = infer(&amma, &x, 1);
         assert!(amma.is_phase_informed());
         let diff: f32 = y0
             .data
@@ -671,7 +443,7 @@ mod tests {
         let eps = 1e-2f32;
         let analytic = amma.embed_addr.w.g.at(1, 2);
         let loss = |m: &Amma| -> f32 {
-            m.infer(&x, 0)
+            infer(m, &x, 0)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -726,7 +498,7 @@ mod tests {
         // Both patterns classified correctly.
         for class in 0..2 {
             let x = make(class, 0.02);
-            let logits = head.infer(&amma.infer(&x, 0));
+            let logits = head.infer(&infer(&amma, &x, 0));
             let pred = if logits.data[0] > logits.data[1] {
                 0
             } else {
@@ -757,112 +529,23 @@ mod tests {
     }
 
     #[test]
-    fn quantized_amma_tracks_f32() {
+    fn int8_snapshot_tracks_f32_and_shrinks() {
         let mut r = rng(21);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(3, &mut r);
-        amma.quantize();
-        assert!(amma.is_quantized());
+        let amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(3, &mut r);
+        let q = amma.quantized();
         let x = input(22, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
+        let mut s = ScratchArena::new();
         for phase in 0..3 {
-            let exact = amma.infer(&x, phase);
-            let quant = amma.infer_quant_in(&x, phase, &mut s);
-            let diff = exact
-                .data
-                .iter()
-                .zip(quant.data.iter())
-                .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+            let exact = amma.infer_batch_in(&x, 1, phase, &mut s);
+            let quant = q.infer_batch_in(&x, 1, phase, &mut s);
             // Post-LN output is O(1); int8 error stays well below it but
             // must not be zero (the paths really are different).
+            let diff = max_abs_diff(&exact.data, &quant.data);
             assert!(diff < 0.35, "phase {phase}: diff {diff}");
             assert!(diff > 0.0, "quant path identical to f32 — not quantized?");
-            s.give(quant);
         }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_per_sequence() {
-        let mut r = rng(23);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-        amma.quantize();
-        let batch = 3;
-        let t = 5;
-        let seqs: Vec<ModalInput> = (0..batch).map(|i| input(40 + i as u64, t)).collect();
-        let mut addr = Matrix::zeros(batch * t, 4);
-        let mut pc = Matrix::zeros(batch * t, 1);
-        for (i, q) in seqs.iter().enumerate() {
-            for row in 0..t {
-                addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
-                pc.data[i * t + row] = q.pc.data[row];
-            }
-        }
-        let stacked = ModalInput { addr, pc };
-        let mut s = mpgraph_ml::ScratchArena::new();
-        for phase in 0..2 {
-            let fused = amma.infer_batch_quant_in(&stacked, batch, phase, &mut s);
-            for (i, q) in seqs.iter().enumerate() {
-                let solo = amma.infer_quant_in(q, phase, &mut s);
-                assert_eq!(fused.row(i), solo.row(0), "seq {i} phase {phase}");
-                s.give(solo);
-            }
-            s.give(fused);
-        }
-    }
-
-    #[test]
-    fn quant_falls_back_to_f32_when_no_snapshot() {
-        let mut r = rng(24);
-        let amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        assert!(!amma.is_quantized());
-        assert!(amma.quant_storage_bytes().is_none());
-        let x = input(25, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        let a = amma.infer_in(&x, 0, &mut s);
-        let b = amma.infer_quant_in(&x, 0, &mut s);
-        assert_eq!(a.data, b.data, "fallback must be bit-identical to f32");
-    }
-
-    #[test]
-    fn training_forward_invalidates_snapshot() {
-        let mut r = rng(26);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        amma.quantize();
-        assert!(amma.is_quantized());
-        let _ = amma.forward(&input(27, 5), 0);
-        assert!(
-            !amma.is_quantized(),
-            "stale snapshot must not survive training"
-        );
-    }
-
-    #[test]
-    fn quant_snapshot_is_under_a_third_of_f32() {
-        let mut r = rng(28);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r);
-        amma.quantize();
-        let qbytes = amma.quant_storage_bytes().unwrap();
-        let fbytes = amma.num_params() * 4;
+        let (qbytes, fbytes) = (q.storage_bytes(), amma.num_params() * 4);
         assert!(qbytes * 3 < fbytes * 2, "{qbytes} vs {fbytes}");
-    }
-
-    #[test]
-    fn quantized_inference_is_allocation_free_at_steady_state() {
-        let mut r = rng(29);
-        let mut amma = Amma::new(4, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-        amma.quantize();
-        let x = input(30, 5);
-        let mut s = mpgraph_ml::ScratchArena::new();
-        let w = amma.infer_quant_in(&x, 1, &mut s);
-        let baseline = w.data.clone();
-        s.give(w);
-        let (_, misses_warm) = s.stats();
-        for _ in 0..4 {
-            let y = amma.infer_quant_in(&x, 1, &mut s);
-            assert_eq!(y.data, baseline);
-            s.give(y);
-        }
-        let (_, misses) = s.stats();
-        assert_eq!(misses, misses_warm, "steady state must not allocate");
     }
 
     #[test]

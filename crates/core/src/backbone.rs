@@ -5,9 +5,8 @@
 
 use crate::amma::{Amma, AmmaConfig, ModalInput};
 use mpgraph_ml::arena::ScratchArena;
-use mpgraph_ml::layers::{Linear, Module, Param};
-use mpgraph_ml::lstm::Lstm;
-use mpgraph_ml::qinfer::{QuantLstm, QuantTransformerLayer};
+use mpgraph_ml::layers::{Embedding, Linear, Module, Param, Project};
+use mpgraph_ml::lstm::{Lstm, LstmGates};
 use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
 use mpgraph_ml::transformer::TransformerLayer;
@@ -38,43 +37,24 @@ impl BackboneKind {
 
 /// A backbone instance. All variants map a [`ModalInput`] (addr features
 /// `[T, Fa]`, pc features `[T, Fp]`) to a pooled `[1, out_dim]` vector.
+/// `P`/`L` are the projection and dense-layer weight types, as in
+/// [`Amma`]: `Backbone` is the trained f32 model and
+/// [`Backbone::quantized`] its int8 snapshot.
 #[derive(Debug, Clone)]
-pub enum Backbone {
+pub enum Backbone<P = Param, L = Linear> {
     Lstm {
-        lstm: Lstm,
+        lstm: Lstm<P>,
         cache_rows: usize,
         pc_feats: usize,
-        quant: Option<Box<QuantLstm>>,
     },
     Attention {
-        proj: Linear,
-        layers: Vec<TransformerLayer>,
+        proj: L,
+        layers: Vec<TransformerLayer<P, L>>,
         dim: usize,
         cache_rows: usize,
         pc_feats: usize,
-        quant: Option<Box<QuantAttentionStack>>,
     },
-    Amma(Box<Amma>),
-}
-
-/// Int8 snapshot of the vanilla-attention backbone: quantized input
-/// projection plus quantized Transformer layers (the AMMA variant keeps
-/// its snapshot inside [`Amma`]).
-#[derive(Debug, Clone)]
-pub struct QuantAttentionStack {
-    pub proj: QuantizedLinear,
-    pub layers: Vec<QuantTransformerLayer>,
-}
-
-impl QuantAttentionStack {
-    pub fn storage_bytes(&self) -> usize {
-        self.proj.storage_bytes()
-            + self
-                .layers
-                .iter()
-                .map(QuantTransformerLayer::storage_bytes)
-                .sum::<usize>()
-    }
+    Amma(Box<Amma<P, L>>),
 }
 
 impl Backbone {
@@ -90,7 +70,6 @@ impl Backbone {
                 lstm: Lstm::new(addr_feats + pc_feats, cfg.fusion_dim, rng),
                 cache_rows: 0,
                 pc_feats,
-                quant: None,
             },
             BackboneKind::Attention => Backbone::Attention {
                 proj: Linear::new(addr_feats + pc_feats, cfg.fusion_dim, rng),
@@ -100,7 +79,6 @@ impl Backbone {
                 dim: cfg.fusion_dim,
                 cache_rows: 0,
                 pc_feats,
-                quant: None,
             },
             BackboneKind::Amma => {
                 Backbone::Amma(Box::new(Amma::new(addr_feats, pc_feats, cfg, rng)))
@@ -116,11 +94,33 @@ impl Backbone {
         }
     }
 
-    pub fn out_dim(&self) -> usize {
+    /// Int8 snapshot of the current weights: the same
+    /// [`Backbone::infer_batch_in`], instantiated with [`QuantizedLinear`].
+    pub fn quantized(&self) -> Backbone<QuantizedLinear, QuantizedLinear> {
         match self {
-            Backbone::Lstm { lstm, .. } => lstm.hidden_dim(),
-            Backbone::Attention { dim, .. } => *dim,
-            Backbone::Amma(a) => a.out_dim(),
+            Backbone::Lstm {
+                lstm,
+                cache_rows,
+                pc_feats,
+            } => Backbone::Lstm {
+                lstm: lstm.quantized(),
+                cache_rows: *cache_rows,
+                pc_feats: *pc_feats,
+            },
+            Backbone::Attention {
+                proj,
+                layers,
+                dim,
+                cache_rows,
+                pc_feats,
+            } => Backbone::Attention {
+                proj: QuantizedLinear::from_linear(proj),
+                layers: layers.iter().map(TransformerLayer::quantized).collect(),
+                dim: *dim,
+                cache_rows: *cache_rows,
+                pc_feats: *pc_feats,
+            },
+            Backbone::Amma(a) => Backbone::Amma(Box::new(a.quantized())),
         }
     }
 
@@ -137,13 +137,8 @@ impl Backbone {
     pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
         match self {
             Backbone::Lstm {
-                lstm,
-                cache_rows,
-                quant,
-                ..
+                lstm, cache_rows, ..
             } => {
-                // Training moves the weights; drop the stale int8 snapshot.
-                *quant = None;
                 *cache_rows = x.addr.rows;
                 let h = lstm.forward(&Self::concat(x));
                 Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
@@ -152,10 +147,8 @@ impl Backbone {
                 proj,
                 layers,
                 cache_rows,
-                quant,
                 ..
             } => {
-                *quant = None;
                 *cache_rows = x.addr.rows;
                 let mut h = proj.forward(&Self::concat(x));
                 h.add_assign(&mpgraph_ml::tensor::positional_encoding(h.rows, h.cols));
@@ -168,117 +161,6 @@ impl Backbone {
         }
     }
 
-    pub fn infer(&self, x: &ModalInput, phase: usize) -> Matrix {
-        match self {
-            Backbone::Lstm { lstm, .. } => {
-                let h = lstm.infer(&Self::concat(x));
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-            }
-            Backbone::Attention { proj, layers, .. } => {
-                let mut h = proj.infer(&Self::concat(x));
-                h.add_assign(&mpgraph_ml::tensor::positional_encoding(h.rows, h.cols));
-                for l in layers {
-                    h = l.infer(&h);
-                }
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
-            }
-            Backbone::Amma(a) => a.infer(x, phase),
-        }
-    }
-
-    /// Inference through arena-owned scratch buffers — bit-identical to
-    /// [`Backbone::infer`], allocation-free after warmup for every kind.
-    pub fn infer_in(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        match self {
-            Backbone::Lstm { lstm, .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = lstm.infer_in(&cat, s);
-                s.give(cat);
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Attention { proj, layers, .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = proj.infer_in(&cat, s);
-                s.give(cat);
-                s.add_positional(&mut h);
-                for l in layers {
-                    let h2 = l.infer_in(&h, s);
-                    s.give(h);
-                    h = h2;
-                }
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Amma(a) => a.infer_in(x, phase, s),
-        }
-    }
-
-    /// Batched inference: `x` stacks `batch` sequences (`[batch * T, F]`
-    /// per modality, each sequence contiguous); returns `[batch, out_dim]`
-    /// with row `b` bit-identical to [`Backbone::infer_in`] on sequence
-    /// `b` alone. The whole batch shares one `phase`.
-    pub fn infer_batch_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        assert!(
-            batch > 0 && x.addr.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.addr.rows / batch;
-        match self {
-            Backbone::Lstm { lstm, .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = lstm.infer_batch_in(&cat, batch, s);
-                s.give(cat);
-                Self::pool_last_rows(h, batch, seq, s)
-            }
-            Backbone::Attention { proj, layers, .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = proj.infer_in(&cat, s);
-                s.give(cat);
-                s.add_positional_per_seq(&mut h, seq);
-                for l in layers {
-                    let h2 = l.infer_batch_in(&h, batch, s);
-                    s.give(h);
-                    h = h2;
-                }
-                Self::pool_last_rows(h, batch, seq, s)
-            }
-            Backbone::Amma(a) => a.infer_batch_in(x, batch, phase, s),
-        }
-    }
-
-    /// Gathers each sequence's final hidden row into a `[batch, cols]`
-    /// matrix — the batched form of the last-position readout — then
-    /// releases `h` back to the arena.
-    fn pool_last_rows(h: Matrix, batch: usize, seq: usize, s: &mut ScratchArena) -> Matrix {
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
-    }
-
-    fn concat_in(x: &ModalInput, s: &mut ScratchArena) -> Matrix {
-        let rows = x.addr.rows;
-        let mut out = s.take(rows, x.addr.cols + x.pc.cols);
-        for r in 0..rows {
-            out.row_mut(r)[..x.addr.cols].copy_from_slice(x.addr.row(r));
-            out.row_mut(r)[x.addr.cols..].copy_from_slice(x.pc.row(r));
-        }
-        out
-    }
-
     /// Backward pass; returns gradients w.r.t. the modality inputs
     /// `(d_addr, d_pc)` so upstream embeddings can train.
     pub fn backward(&mut self, d_out: &Matrix) -> (Matrix, Matrix) {
@@ -287,7 +169,6 @@ impl Backbone {
                 lstm,
                 cache_rows,
                 pc_feats,
-                ..
             } => {
                 let rows = *cache_rows;
                 let mut dh = Matrix::zeros(rows, d_out.cols);
@@ -301,7 +182,6 @@ impl Backbone {
                 cache_rows,
                 dim,
                 pc_feats,
-                ..
             } => {
                 let rows = *cache_rows;
                 let mut dh = Matrix::zeros(rows, *dim);
@@ -328,88 +208,38 @@ impl Backbone {
         }
         (da, dp)
     }
+}
 
-    /// Builds (or rebuilds) the int8 inference snapshot consumed by
-    /// [`Backbone::forward_quant`]. Call after training has converged; any
-    /// later training forward invalidates the snapshot.
-    pub fn quantize(&mut self) {
+impl<P: Project + LstmGates, L: Project> Backbone<P, L> {
+    pub fn out_dim(&self) -> usize {
         match self {
-            Backbone::Lstm { lstm, quant, .. } => {
-                *quant = Some(Box::new(QuantLstm::from_lstm(lstm)))
-            }
-            Backbone::Attention {
-                proj,
-                layers,
-                quant,
-                ..
-            } => {
-                *quant = Some(Box::new(QuantAttentionStack {
-                    proj: QuantizedLinear::from_linear(proj),
-                    layers: layers
+            Backbone::Lstm { lstm, .. } => lstm.hidden_dim(),
+            Backbone::Attention { dim, .. } => *dim,
+            Backbone::Amma(a) => a.out_dim(),
+        }
+    }
+
+    /// Deployed size of the weights, in bytes.
+    pub fn storage_bytes(&self) -> usize {
+        match self {
+            Backbone::Lstm { lstm, .. } => lstm.storage_bytes(),
+            Backbone::Attention { proj, layers, .. } => {
+                proj.storage_bytes()
+                    + layers
                         .iter()
-                        .map(QuantTransformerLayer::from_layer)
-                        .collect(),
-                }))
+                        .map(TransformerLayer::storage_bytes)
+                        .sum::<usize>()
             }
-            Backbone::Amma(a) => a.quantize(),
+            Backbone::Amma(a) => a.storage_bytes(),
         }
     }
 
-    pub fn is_quantized(&self) -> bool {
-        match self {
-            Backbone::Lstm { quant, .. } => quant.is_some(),
-            Backbone::Attention { quant, .. } => quant.is_some(),
-            Backbone::Amma(a) => a.is_quantized(),
-        }
-    }
-
-    /// Size of the int8 snapshot, if one exists.
-    pub fn quant_storage_bytes(&self) -> Option<usize> {
-        match self {
-            Backbone::Lstm { quant, .. } => quant.as_ref().map(|q| q.storage_bytes()),
-            Backbone::Attention { quant, .. } => quant.as_ref().map(|q| q.storage_bytes()),
-            Backbone::Amma(a) => a.quant_storage_bytes(),
-        }
-    }
-
-    /// Int8 forward through the quantized snapshot; falls back to the f32
-    /// [`Backbone::infer_in`] (bit-identically) when no snapshot exists,
-    /// so callers can flip quantization on without branching.
-    pub fn forward_quant(&self, x: &ModalInput, phase: usize, s: &mut ScratchArena) -> Matrix {
-        match self {
-            Backbone::Lstm { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = q.infer_in(&cat, s);
-                s.give(cat);
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Attention { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = q.proj.infer_in(&cat, s);
-                s.give(cat);
-                s.add_positional(&mut h);
-                for l in &q.layers {
-                    let h2 = l.infer_in(&h, s);
-                    s.give(h);
-                    h = h2;
-                }
-                let mut pooled = s.take(1, h.cols);
-                pooled.row_mut(0).copy_from_slice(h.row(h.rows - 1));
-                s.give(h);
-                pooled
-            }
-            Backbone::Amma(a) => a.infer_quant_in(x, phase, s),
-            other => other.infer_in(x, phase, s),
-        }
-    }
-
-    /// Batched int8 forward: row `b` is bit-identical to
-    /// [`Backbone::forward_quant`] on sequence `b` alone. Falls back to
-    /// [`Backbone::infer_batch_in`] when no snapshot exists.
-    pub fn forward_batch_quant(
+    /// Inference over `batch` stacked sequences (`[batch * T, F]` per
+    /// modality, each sequence contiguous; a single window is
+    /// `batch = 1`). Returns `[batch, out_dim]` with row `b` bit-identical
+    /// to sequence `b` run alone; the whole batch shares one `phase`.
+    /// Allocation-free once `s` is warm, for every kind.
+    pub fn infer_batch_in(
         &self,
         x: &ModalInput,
         batch: usize,
@@ -421,28 +251,129 @@ impl Backbone {
             "rows must tile by batch"
         );
         let seq = x.addr.rows / batch;
-        match self {
-            Backbone::Lstm { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let h = q.infer_batch_in(&cat, batch, s);
+        let h = match self {
+            Backbone::Lstm { lstm, .. } => {
+                let cat = concat_in(x, s);
+                let h = lstm.infer_batch_in(&cat, batch, s);
                 s.give(cat);
-                Self::pool_last_rows(h, batch, seq, s)
+                h
             }
-            Backbone::Attention { quant: Some(q), .. } => {
-                let cat = Self::concat_in(x, s);
-                let mut h = q.proj.infer_in(&cat, s);
+            Backbone::Attention { proj, layers, .. } => {
+                let cat = concat_in(x, s);
+                let mut h = proj.project_in(&cat, s);
                 s.give(cat);
                 s.add_positional_per_seq(&mut h, seq);
-                for l in &q.layers {
+                for l in layers {
                     let h2 = l.infer_batch_in(&h, batch, s);
                     s.give(h);
                     h = h2;
                 }
-                Self::pool_last_rows(h, batch, seq, s)
+                h
             }
-            Backbone::Amma(a) => a.infer_batch_quant_in(x, batch, phase, s),
-            other => other.infer_batch_in(x, batch, phase, s),
+            Backbone::Amma(a) => return a.infer_batch_in(x, batch, phase, s),
+        };
+        // Last-position readout of each sequence.
+        let mut pooled = s.take(batch, h.cols);
+        for b in 0..batch {
+            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
         }
+        s.give(h);
+        pooled
+    }
+}
+
+/// Feature-wise concatenation of the two modalities into an arena buffer.
+fn concat_in(x: &ModalInput, s: &mut ScratchArena) -> Matrix {
+    let rows = x.addr.rows;
+    let mut out = s.take(rows, x.addr.cols + x.pc.cols);
+    for r in 0..rows {
+        out.row_mut(r)[..x.addr.cols].copy_from_slice(x.addr.row(r));
+        out.row_mut(r)[x.addr.cols..].copy_from_slice(x.pc.row(r));
+    }
+    out
+}
+
+/// Int8 snapshot of one trained phase model: the backbone, the output
+/// head, and — for a page predictor's tied Softmax head — the vocabulary
+/// product, each embedding-table row one quantized output channel with
+/// its own scale (so one hot page with a large embedding norm cannot wash
+/// out the rest of the vocabulary).
+#[derive(Debug, Clone)]
+pub(crate) struct Int8Model {
+    backbone: Backbone<QuantizedLinear, QuantizedLinear>,
+    head: QuantizedLinear,
+    vocab: Option<QuantizedLinear>,
+}
+
+impl Int8Model {
+    pub(crate) fn new(backbone: &Backbone, head: &Linear, tied: Option<&Embedding>) -> Self {
+        Int8Model {
+            backbone: backbone.quantized(),
+            head: QuantizedLinear::from_linear(head),
+            vocab: tied.map(|e| QuantizedLinear::from_rows(&e.table.w, None)),
+        }
+    }
+
+    /// Int8 weights plus f32 scales and biases.
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.backbone.storage_bytes()
+            + self.head.storage_bytes()
+            + self
+                .vocab
+                .as_ref()
+                .map_or(0, QuantizedLinear::storage_bytes)
+    }
+}
+
+/// One phase model as a predictor serves it: the trained f32 backbone and
+/// head, the embedding table when the head is tied to it, and the int8
+/// snapshot once `quantize` has built one. [`Served::logits_in`] is the
+/// one place that chooses between the two weight sets.
+pub(crate) struct Served<'a> {
+    pub(crate) backbone: &'a Backbone,
+    pub(crate) head: &'a Linear,
+    pub(crate) tied: Option<&'a Embedding>,
+    pub(crate) int8: Option<&'a Int8Model>,
+}
+
+impl Served<'_> {
+    /// Head logits `[batch, out]` for `batch` stacked windows, through the
+    /// int8 snapshot when one exists and the f32 weights otherwise. The
+    /// caller gives the result back to `s`.
+    pub(crate) fn logits_in(
+        &self,
+        x: &ModalInput,
+        batch: usize,
+        phase: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        match self.int8 {
+            Some(q) => head_logits_in(&q.backbone, &q.head, q.vocab.as_ref(), x, batch, phase, s),
+            None => head_logits_in(self.backbone, self.head, self.tied, x, batch, phase, s),
+        }
+    }
+}
+
+/// Backbone, then head, then (tied heads) the vocabulary product.
+fn head_logits_in<P: Project + LstmGates, L: Project, V: Project>(
+    backbone: &Backbone<P, L>,
+    head: &L,
+    vocab: Option<&V>,
+    x: &ModalInput,
+    batch: usize,
+    phase: usize,
+    s: &mut ScratchArena,
+) -> Matrix {
+    let pooled = backbone.infer_batch_in(x, batch, phase, s);
+    let z = head.project_in(&pooled, s);
+    s.give(pooled);
+    match vocab {
+        Some(v) => {
+            let logits = v.project_in(&z, s);
+            s.give(z);
+            logits
+        }
+        None => z,
     }
 }
 
@@ -477,7 +408,14 @@ impl Module for Backbone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
     use mpgraph_ml::tensor::rng;
+
+    const KINDS: [BackboneKind; 3] = [
+        BackboneKind::Lstm,
+        BackboneKind::Attention,
+        BackboneKind::Amma,
+    ];
 
     fn tiny_cfg() -> AmmaConfig {
         AmmaConfig {
@@ -497,75 +435,39 @@ mod tests {
         }
     }
 
+    fn infer(b: &Backbone, x: &ModalInput, phase: usize) -> Matrix {
+        b.infer_batch_in(x, 1, phase, &mut ScratchArena::new())
+    }
+
     #[test]
-    fn all_kinds_produce_same_shape() {
+    fn inference_tracks_training_forward_for_every_kind() {
         let mut r = rng(1);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
+        for kind in KINDS {
             let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
             let y = b.forward(&input(2), 0);
             assert_eq!((y.rows, y.cols), (1, 16), "{}", kind.name());
             assert_eq!(b.out_dim(), 16);
-            let y2 = b.infer(&input(2), 0);
-            for (a, c) in y.data.iter().zip(y2.data.iter()) {
-                assert!((a - c).abs() < 1e-6, "{}", kind.name());
-            }
+            let y2 = infer(&b, &input(2), 0);
+            assert!(max_abs_diff(&y.data, &y2.data) < 1e-6, "{}", kind.name());
         }
     }
 
     #[test]
-    fn batched_inference_is_bit_identical_per_sequence() {
+    fn batched_rows_match_single_for_f32_and_int8() {
         let mut r = rng(7);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
+        for kind in KINDS {
             // Phase embedding on (AMMA-PI) exercises the broadcast path.
             let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-            let mut s = ScratchArena::new();
-            // Ragged coverage via odd batch sizes; every batch shares T
-            // (the fused serve path stacks equal-length histories).
-            for batch in [1usize, 2, 5, 16] {
-                let t = 4;
-                let seqs: Vec<ModalInput> = (0..batch).map(|i| input(100 + i as u64)).collect();
-                let mut addr = Matrix::zeros(batch * t, 3);
-                let mut pc = Matrix::zeros(batch * t, 1);
-                for (i, q) in seqs.iter().enumerate() {
-                    for row in 0..t {
-                        addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
-                        pc.data[i * t + row] = q.pc.data[row];
-                    }
-                }
-                let stacked = ModalInput { addr, pc };
-                for phase in 0..2 {
-                    let fused = b.infer_batch_in(&stacked, batch, phase, &mut s);
-                    assert_eq!((fused.rows, fused.cols), (batch, 16));
-                    for (i, q) in seqs.iter().enumerate() {
-                        let solo = b.infer_in(q, phase, &mut s);
-                        assert_eq!(
-                            fused.row(i),
-                            solo.row(0),
-                            "{} batch={batch} seq={i} phase={phase}",
-                            kind.name()
-                        );
-                    }
-                }
-            }
+            let q = b.quantized();
+            assert_batch_rows_match_single(4, 3, 2, |x, n, p, s| b.infer_batch_in(x, n, p, s));
+            assert_batch_rows_match_single(4, 3, 2, |x, n, p, s| q.infer_batch_in(x, n, p, s));
         }
     }
 
     #[test]
     fn backward_accumulates_gradients_everywhere() {
         let mut r = rng(3);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
+        for kind in KINDS {
             let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
             let _ = b.forward(&input(4), 0);
             let mut d = Matrix::zeros(1, 16);
@@ -578,148 +480,34 @@ mod tests {
     }
 
     #[test]
-    fn arena_infer_matches_infer_for_every_kind() {
-        let mut r = rng(7);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            let x = input(8);
-            let baseline = b.infer(&x, 0);
-            let mut s = ScratchArena::new();
-            let y = b.infer_in(&x, 0, &mut s);
-            assert_eq!(y.data, baseline.data, "{}", kind.name());
-            s.give(y);
-            let (_, warm) = s.stats();
-            let y2 = b.infer_in(&x, 0, &mut s);
-            s.give(y2);
-            let (_, steady) = s.stats();
-            assert_eq!(warm, steady, "{} steady state allocated", kind.name());
-        }
-    }
-
-    #[test]
     fn phase_embedding_only_affects_amma() {
         let mut r = rng(5);
         let b = Backbone::new(BackboneKind::Lstm, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
         // LSTM backbone ignores the request (stays phase-blind).
         let x = input(6);
-        assert_eq!(b.infer(&x, 0), b.infer(&x, 1));
+        assert_eq!(infer(&b, &x, 0), infer(&b, &x, 1));
         let a = Backbone::new(BackboneKind::Amma, 3, 1, tiny_cfg(), &mut r)
             .with_phase_embedding(2, &mut r);
-        assert_ne!(a.infer(&x, 0), a.infer(&x, 1));
+        assert_ne!(infer(&a, &x, 0), infer(&a, &x, 1));
     }
 
     #[test]
-    fn quantized_forward_tracks_f32_for_every_kind() {
+    fn int8_snapshot_tracks_f32_and_shrinks_for_every_kind() {
         let mut r = rng(31);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            b.quantize();
-            assert!(b.is_quantized(), "{}", kind.name());
+        for kind in KINDS {
+            let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
+            let q = b.quantized();
             let x = input(32);
             let mut s = ScratchArena::new();
-            let exact = b.infer_in(&x, 0, &mut s);
-            let quant = b.forward_quant(&x, 0, &mut s);
-            let diff = exact
-                .data
-                .iter()
-                .zip(quant.data.iter())
-                .fold(0.0f32, |m, (a, c)| m.max((a - c).abs()));
+            let exact = b.infer_batch_in(&x, 1, 0, &mut s);
+            let quant = q.infer_batch_in(&x, 1, 0, &mut s);
+            let diff = max_abs_diff(&exact.data, &quant.data);
             assert!(diff < 0.35, "{}: diff {diff}", kind.name());
             assert!(diff > 0.0, "{}: quant path identical to f32", kind.name());
             // The snapshot actually compresses: under a third of f32 bytes.
-            let qb = b.quant_storage_bytes().unwrap();
-            let fb = b.num_params() * 4;
+            let (qb, fb) = (q.storage_bytes(), b.num_params() * 4);
             assert!(qb * 3 < fb * 2, "{}: {qb} vs {fb}", kind.name());
-        }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_per_sequence() {
-        let mut r = rng(33);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let mut b =
-                Backbone::new(kind, 3, 1, tiny_cfg(), &mut r).with_phase_embedding(2, &mut r);
-            b.quantize();
-            let mut s = ScratchArena::new();
-            for batch in [1usize, 3, 8] {
-                let t = 4;
-                let seqs: Vec<ModalInput> = (0..batch).map(|i| input(200 + i as u64)).collect();
-                let mut addr = Matrix::zeros(batch * t, 3);
-                let mut pc = Matrix::zeros(batch * t, 1);
-                for (i, q) in seqs.iter().enumerate() {
-                    for row in 0..t {
-                        addr.row_mut(i * t + row).copy_from_slice(q.addr.row(row));
-                        pc.data[i * t + row] = q.pc.data[row];
-                    }
-                }
-                let stacked = ModalInput { addr, pc };
-                for phase in 0..2 {
-                    let fused = b.forward_batch_quant(&stacked, batch, phase, &mut s);
-                    for (i, q) in seqs.iter().enumerate() {
-                        let solo = b.forward_quant(q, phase, &mut s);
-                        assert_eq!(
-                            fused.row(i),
-                            solo.row(0),
-                            "{} batch={batch} seq={i} phase={phase}",
-                            kind.name()
-                        );
-                        s.give(solo);
-                    }
-                    s.give(fused);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unquantized_forward_quant_falls_back_bit_identically() {
-        let mut r = rng(35);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            assert!(!b.is_quantized());
-            assert!(b.quant_storage_bytes().is_none());
-            let x = input(36);
-            let mut s = ScratchArena::new();
-            let a = b.infer_in(&x, 0, &mut s);
-            let c = b.forward_quant(&x, 0, &mut s);
-            assert_eq!(a.data, c.data, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn training_forward_invalidates_quant_snapshot() {
-        let mut r = rng(37);
-        for kind in [
-            BackboneKind::Lstm,
-            BackboneKind::Attention,
-            BackboneKind::Amma,
-        ] {
-            let mut b = Backbone::new(kind, 3, 1, tiny_cfg(), &mut r);
-            b.quantize();
-            assert!(b.is_quantized(), "{}", kind.name());
-            let _ = b.forward(&input(38), 0);
-            assert!(
-                !b.is_quantized(),
-                "{} kept a stale snapshot across training",
-                kind.name()
-            );
         }
     }
 

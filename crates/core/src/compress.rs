@@ -138,7 +138,7 @@ pub fn distill_delta(
         final_loss,
         train_steps: 0,
         train_rollbacks: 0,
-        quant_heads: Vec::new(),
+        int8: Vec::new(),
     }
 }
 
@@ -494,8 +494,9 @@ mod tests {
         // The student head is bit-width narrow (log2 of the configured
         // vocab), not vocab-wide like the teacher's softmax.
         let vocab_bits = (student.cfg.page_vocab as f32).log2().ceil() as usize;
-        let logits =
-            student.predict_logits(&[(0usize, 0x401000u64); 5], 1 % student.num_phases.max(1));
+        let mut s = ScratchArena::new();
+        let phase = 1 % student.num_phases.max(1);
+        let logits = student.predict_logits_in(&[(0usize, 0x401000u64); 5], phase, &mut s);
         assert_eq!(logits.cols, vocab_bits.max(1));
         assert!(
             student.final_loss.is_finite(),
@@ -513,8 +514,8 @@ mod tests {
             .iter()
             .map(|&p| (student.vocab.token_of(p), 0x401000))
             .collect();
-        let t_top = teacher.predict_pages(&t_hist, 1, 1);
-        let s_top = student.predict_pages(&s_hist, 1, 1);
+        let t_top = teacher.predict_pages_in(&t_hist, 1, 1, &mut s);
+        let s_top = student.predict_pages_in(&s_hist, 1, 1, &mut s);
         assert_eq!(
             s_top, t_top,
             "student diverged from the teacher's argmax on the trained cycle"

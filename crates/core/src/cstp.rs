@@ -165,6 +165,10 @@ impl CstpConfig {
 /// * `page_hist` — the last T (page token, pc) pairs;
 /// * `phase` — the controller's selected phase (chooses the PS models);
 /// * `stats` — rolling counters (chain length, PBOT hit rate, dedup).
+///
+/// This is the serial reference the concurrent [`chain_prefetch_in`] and
+/// the fused [`chain_prefetch_fused`] are tested against; it runs every
+/// forward in order on a scratch arena of its own.
 #[allow(clippy::too_many_arguments)]
 pub fn chain_prefetch(
     delta: &DeltaPredictor,
@@ -178,9 +182,10 @@ pub fn chain_prefetch(
 ) -> Vec<u64> {
     let mut out = Vec::with_capacity(cfg.max_degree());
     let &(cur_block, _) = block_hist.last().expect("non-empty history");
+    let mut s = ScratchArena::new();
 
     // --- Spatial at the current access: Ds deltas.
-    for d in delta.predict_deltas(block_hist, phase, cfg.spatial_degree) {
+    for d in delta.predict_deltas_in(block_hist, phase, cfg.spatial_degree, &mut s) {
         let t = cur_block as i64 + d;
         if t >= 0 {
             out.push(t as u64);
@@ -193,7 +198,7 @@ pub fn chain_prefetch(
     let mut bh: Vec<(u64, u64)> = block_hist.to_vec();
     for _step in 0..cfg.temporal_degree {
         // Predict the next page (skip the OOV token).
-        let Some(&next_page) = page.predict_pages(&ph, phase, 1).first() else {
+        let Some(&next_page) = page.predict_pages_in(&ph, phase, 1, &mut s).first() else {
             break;
         };
         // PBOT lookup: chain ends when the page base offset is missing.
@@ -211,7 +216,8 @@ pub fn chain_prefetch(
         if let Some(slot) = bh.last_mut() {
             *slot = (base, pbot_pc);
         }
-        for d in delta.predict_deltas(&bh, phase, cfg.spatial_degree.saturating_sub(1)) {
+        let ds = cfg.spatial_degree.saturating_sub(1);
+        for d in delta.predict_deltas_in(&bh, phase, ds, &mut s) {
             let t = base as i64 + d;
             if t >= 0 {
                 out.push(t as u64);
@@ -734,7 +740,7 @@ mod tests {
     /// The single-phase blind spot: every record carries phase 0, but the
     /// deployment has a second (untrained) phase model. Before the page
     /// predictor masked its untrained vocabulary tail, that model's top-k
-    /// tokens fell outside the vocab, `predict_pages` came back empty, and
+    /// tokens fell outside the vocab, `predict_pages_in` came back empty, and
     /// the chain died *before* any PBOT lookup — `pbot_hits + pbot_misses`
     /// stayed 0 for the whole run, reading as "PBOT never primes".
     #[test]

@@ -4,7 +4,7 @@
 //! future block deltas within one page (BCE loss).
 
 use crate::amma::{AmmaConfig, ModalInput};
-use crate::backbone::Backbone;
+use crate::backbone::{Backbone, Int8Model, Served};
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
 use mpgraph_ml::guard::{GuardAction, TrainGuard};
@@ -12,7 +12,6 @@ use mpgraph_ml::layers::{Linear, Module, Sigmoid};
 use mpgraph_ml::loss::bce_with_logits;
 use mpgraph_ml::metrics::{multilabel_f1, top_k_indices, Prf};
 use mpgraph_ml::optim::Adam;
-use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
 use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, segment_block};
@@ -89,10 +88,9 @@ pub struct DeltaPredictor {
     pub cfg: DeltaPredictorConfig,
     /// One (backbone, head) per phase for AMMA-PS, otherwise length 1.
     pub(crate) models: Vec<(Backbone, Linear)>,
-    /// Int8 head snapshots, one per model, filled by
-    /// [`DeltaPredictor::quantize`] (backbone snapshots live inside each
-    /// [`Backbone`]). Empty means the f32 path serves.
-    pub(crate) quant_heads: Vec<QuantizedLinear>,
+    /// Int8 snapshots, one per model, filled by
+    /// [`DeltaPredictor::quantize`]. Empty means the f32 weights serve.
+    pub(crate) int8: Vec<Int8Model>,
     pub(crate) num_phases: usize,
     pub final_loss: f32,
     /// Optimizer steps taken across all phase models and epochs.
@@ -244,7 +242,7 @@ impl DeltaPredictor {
             variant,
             cfg,
             models,
-            quant_heads: Vec::new(),
+            int8: Vec::new(),
             num_phases: num_phases.max(1),
             final_loss,
             train_steps,
@@ -338,115 +336,83 @@ impl DeltaPredictor {
         }
     }
 
-    fn model_for(&self, phase: usize) -> &(Backbone, Linear) {
-        &self.models[self.model_index(phase)]
-    }
-
     /// Builds int8 snapshots of every phase model (backbones + heads).
     /// Serving then runs through the i8×i8→i32 kernels; call on a trained
     /// (typically distilled, §6.1) predictor.
     pub fn quantize(&mut self) {
-        self.quant_heads = self
+        self.int8 = self
             .models
-            .iter_mut()
-            .map(|(b, h)| {
-                b.quantize();
-                QuantizedLinear::from_linear(h)
-            })
+            .iter()
+            .map(|(b, h)| Int8Model::new(b, h, None))
             .collect();
     }
 
     pub fn is_quantized(&self) -> bool {
-        !self.quant_heads.is_empty() && self.models.iter().all(|(b, _)| b.is_quantized())
+        !self.int8.is_empty()
     }
 
     /// Int8 model size across all phase models (weights + scales/biases).
     pub fn quant_storage_bytes(&self) -> Option<usize> {
-        if !self.is_quantized() {
-            return None;
-        }
-        let mut total = 0usize;
-        for ((b, _), qh) in self.models.iter().zip(&self.quant_heads) {
-            total += b.quant_storage_bytes()? + qh.storage_bytes();
-        }
-        Some(total)
+        self.is_quantized()
+            .then(|| self.int8.iter().map(Int8Model::storage_bytes).sum())
     }
 
-    /// Sigmoid probabilities over the delta bitmap.
-    pub fn predict_scores(&self, hist: &[(u64, u64)], phase: usize) -> Vec<f32> {
-        Sigmoid::infer(&self.predict_logits(hist, phase)).data
-    }
-
-    /// Raw head logits (pre-sigmoid) — the knowledge-distillation target.
-    pub fn predict_logits(&self, hist: &[(u64, u64)], phase: usize) -> Matrix {
-        let (backbone, head) = self.model_for(phase);
-        let x = Self::encode(&self.cfg, hist);
-        let pooled = backbone.infer(&x, phase);
-        head.infer(&pooled)
-    }
-
-    /// Arena-backed `encode`: modal matrices come from `s` and must be
-    /// given back by the caller once the backbone has consumed them.
-    fn encode_in(
-        cfg: &DeltaPredictorConfig,
-        hist: &[(u64, u64)],
+    /// Raw head logits `[batch, labels]` for `hists.len()` same-length
+    /// windows sharing one phase (and therefore one model): the windows
+    /// are stacked into a single `(B·T, ·)` modal input so the backbone
+    /// and head each run exactly once. Every row is bit-identical to its
+    /// window run alone, because every kernel on the path computes each
+    /// output row from its own input rows alone.
+    fn logits_batch_in(
+        &self,
+        hists: &[&[(u64, u64)]],
+        phase: usize,
         s: &mut ScratchArena,
-    ) -> ModalInput {
-        let mut addr = s.take(hist.len(), cfg.segments);
-        let mut pc = s.take(hist.len(), 1);
-        for (i, &(block, pcv)) in hist.iter().enumerate() {
-            addr.row_mut(i)
-                .copy_from_slice(&segment_block(block, cfg.segments));
-            pc.data[i] = pc_feature(pcv);
+    ) -> Matrix {
+        let batch = hists.len();
+        let t = hists[0].len();
+        assert!(
+            hists.iter().all(|h| h.len() == t),
+            "fused delta batch requires equal-length histories"
+        );
+        let midx = self.model_index(phase);
+        let (backbone, head) = &self.models[midx];
+        let mut addr = s.take(batch * t, self.cfg.segments);
+        let mut pc = s.take(batch * t, 1);
+        for (b, hist) in hists.iter().enumerate() {
+            for (i, &(block, pcv)) in hist.iter().enumerate() {
+                addr.row_mut(b * t + i)
+                    .copy_from_slice(&segment_block(block, self.cfg.segments));
+                pc.data[b * t + i] = pc_feature(pcv);
+            }
         }
-        ModalInput { addr, pc }
+        let x = ModalInput { addr, pc };
+        let served = Served {
+            backbone,
+            head,
+            tied: None,
+            int8: self.int8.get(midx),
+        };
+        let logits = served.logits_in(&x, batch, phase, s);
+        s.give(x.addr);
+        s.give(x.pc);
+        logits
     }
 
-    /// Arena-backed [`Self::predict_logits`]: bit-identical output,
-    /// allocation-free after warmup. The caller `give`s the result back.
+    /// Raw head logits `[1, labels]` (pre-sigmoid) for one window — the
+    /// knowledge-distillation target. The caller `give`s the result back.
     pub fn predict_logits_in(
         &self,
         hist: &[(u64, u64)],
         phase: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
-        let midx = self.model_index(phase);
-        let (backbone, head) = &self.models[midx];
-        let x = Self::encode_in(&self.cfg, hist, s);
-        // The quantized path only engages once `quantize` has built the
-        // snapshots; otherwise this is exactly the f32 arena path.
-        let quant_head = self.quant_heads.get(midx);
-        let pooled = if quant_head.is_some() {
-            backbone.forward_quant(&x, phase, s)
-        } else {
-            backbone.infer_in(&x, phase, s)
-        };
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let logits = match quant_head {
-            Some(qh) => qh.infer_in(&pooled, s),
-            None => head.infer_in(&pooled, s),
-        };
-        s.give(pooled);
-        logits
+        self.logits_batch_in(&[hist], phase, s)
     }
 
-    /// Arena-backed [`Self::predict_scores`]: the logits matrix is reused
-    /// in place for the sigmoid. The caller `give`s the result back.
-    pub fn predict_scores_in(
-        &self,
-        hist: &[(u64, u64)],
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        let mut scores = self.predict_logits_in(hist, phase, s);
-        Sigmoid::infer_inplace(&mut scores);
-        scores
-    }
-
-    /// Arena-backed [`Self::predict_deltas`] — the steady-state hot path of
-    /// [`crate::prefetcher::MpGraphPrefetcher`].
+    /// Top-`k` predicted deltas above the confidence threshold — the
+    /// steady-state hot path of [`crate::prefetcher::MpGraphPrefetcher`].
+    /// Allocation-free tensor work once `s` is warm.
     pub fn predict_deltas_in(
         &self,
         hist: &[(u64, u64)],
@@ -454,26 +420,15 @@ impl DeltaPredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<i64> {
-        let dr = DeltaRange {
-            range: self.cfg.delta_range,
-        };
-        let scores = self.predict_scores_in(hist, phase, s);
-        let deltas = top_k_indices(&scores.data, k)
-            .into_iter()
-            .filter(|&i| scores.data[i] >= self.cfg.threshold)
-            .map(|i| dr.delta_of(i))
-            .collect();
-        s.give(scores);
-        deltas
+        self.predict_deltas_batch_in(&[hist], phase, k, s)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Batched [`Self::predict_deltas_in`] over `hists.len()` same-length
-    /// history windows sharing one phase (and therefore one model): the
-    /// windows are stacked into a single `(B·T, ·)` modal input so the
-    /// backbone and head each run exactly once. Per-row outputs are
-    /// bit-identical to calling [`Self::predict_deltas_in`] per window,
-    /// because every kernel on the path computes each output row from its
-    /// own input rows alone.
+    /// history windows sharing one phase, run as one fused forward.
+    /// Per-window outputs are bit-identical to calling
+    /// [`Self::predict_deltas_in`] per window.
     pub fn predict_deltas_batch_in(
         &self,
         hists: &[&[(u64, u64)]],
@@ -489,45 +444,17 @@ impl DeltaPredictor {
         // co-traversing one frontier present byte-identical histories,
         // and the prediction is a pure function of (window, phase, k),
         // so one computed lane serves every duplicate bit-exactly.
-        let (unique, lane_of) = dedup_lanes(hists);
-        if unique.len() < batch {
-            let uniq = self.predict_deltas_batch_in(&unique, phase, k, s);
-            return lane_of.iter().map(|&i| uniq[i].clone()).collect();
+        if batch > 1 {
+            let (unique, lane_of) = dedup_lanes(hists);
+            if unique.len() < batch {
+                let uniq = self.predict_deltas_batch_in(&unique, phase, k, s);
+                return lane_of.iter().map(|&i| uniq[i].clone()).collect();
+            }
         }
-        let t = hists[0].len();
-        assert!(
-            hists.iter().all(|h| h.len() == t),
-            "fused delta batch requires equal-length histories"
-        );
         let dr = DeltaRange {
             range: self.cfg.delta_range,
         };
-        let midx = self.model_index(phase);
-        let (backbone, head) = &self.models[midx];
-        let mut addr = s.take(batch * t, self.cfg.segments);
-        let mut pc = s.take(batch * t, 1);
-        for (b, hist) in hists.iter().enumerate() {
-            for (i, &(block, pcv)) in hist.iter().enumerate() {
-                addr.row_mut(b * t + i)
-                    .copy_from_slice(&segment_block(block, self.cfg.segments));
-                pc.data[b * t + i] = pc_feature(pcv);
-            }
-        }
-        let x = ModalInput { addr, pc };
-        let quant_head = self.quant_heads.get(midx);
-        let pooled = if quant_head.is_some() {
-            backbone.forward_batch_quant(&x, batch, phase, s)
-        } else {
-            backbone.infer_batch_in(&x, batch, phase, s)
-        };
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let mut scores = match quant_head {
-            Some(qh) => qh.infer_in(&pooled, s),
-            None => head.infer_in(&pooled, s),
-        };
-        s.give(pooled);
+        let mut scores = self.logits_batch_in(hists, phase, s);
         Sigmoid::infer_inplace(&mut scores);
         let out = (0..batch)
             .map(|b| {
@@ -548,19 +475,6 @@ impl DeltaPredictor {
         Self::encode(cfg, hist)
     }
 
-    /// Top-`k` predicted deltas above the confidence threshold.
-    pub fn predict_deltas(&self, hist: &[(u64, u64)], phase: usize, k: usize) -> Vec<i64> {
-        let dr = DeltaRange {
-            range: self.cfg.delta_range,
-        };
-        let scores = self.predict_scores(hist, phase);
-        top_k_indices(&scores, k)
-            .into_iter()
-            .filter(|&i| scores[i] >= self.cfg.threshold)
-            .map(|i| dr.delta_of(i))
-            .collect()
-    }
-
     /// Table 6 metric: micro-F1 of the thresholded bitmap against the
     /// ground-truth future-delta bitmap over a test trace.
     pub fn evaluate_f1(&self, records: &[MemRecord], tc: &TrainCfg, max_samples: usize) -> Prf {
@@ -569,6 +483,7 @@ impl DeltaPredictor {
         let stride = (usable / max_samples.max(1)).max(1);
         let mut preds = Vec::new();
         let mut targs = Vec::new();
+        let mut s = ScratchArena::new();
         let mut i = 0usize;
         while i + t + self.cfg.look_forward < records.len() && preds.len() < max_samples {
             let pos = i + t - 1;
@@ -577,10 +492,18 @@ impl DeltaPredictor {
                 .iter()
                 .map(|rec| (rec.block(), rec.pc))
                 .collect();
-            let scores = self.predict_scores(&hist, phase);
+            let mut scores = self.predict_logits_in(&hist, phase, &mut s);
+            Sigmoid::infer_inplace(&mut scores);
             let target = Self::label_bitmap(&self.cfg, records, pos);
-            preds.push(scores.iter().map(|&s| s >= self.cfg.threshold).collect());
+            preds.push(
+                scores
+                    .data
+                    .iter()
+                    .map(|&p| p >= self.cfg.threshold)
+                    .collect(),
+            );
             targs.push(target.data.iter().map(|&v| v > 0.5).collect());
+            s.give(scores);
             i += stride;
         }
         multilabel_f1(&preds, &targs)
@@ -614,6 +537,13 @@ impl DeltaPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sigmoid scores for one window through the serving path.
+    fn scores(model: &DeltaPredictor, hist: &[(u64, u64)], phase: usize) -> Vec<f32> {
+        let mut logits = model.predict_logits_in(hist, phase, &mut ScratchArena::new());
+        Sigmoid::infer_inplace(&mut logits);
+        logits.data
+    }
 
     fn rec(vaddr: u64, pc: u64, phase: u8) -> MemRecord {
         MemRecord {
@@ -692,11 +622,12 @@ mod tests {
         assert!(f1.f1 > 0.5, "f1 {:?}", f1);
         // Phase 0 history → deltas dominated by +1..+look_forward pattern.
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let deltas = model.predict_deltas(&hist, 0, 3);
+        let mut s = ScratchArena::new();
+        let deltas = model.predict_deltas_in(&hist, 0, 3, &mut s);
         assert!(deltas.contains(&1), "phase-0 deltas {deltas:?}");
         // Phase 1 history → stride 4.
         let hist1: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 18) + 4 * i, 0x401000)).collect();
-        let deltas1 = model.predict_deltas(&hist1, 1, 3);
+        let deltas1 = model.predict_deltas_in(&hist1, 1, 3, &mut s);
         assert!(deltas1.contains(&4), "phase-1 deltas {deltas1:?}");
     }
 
@@ -718,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_delta_inference_is_bit_identical() {
+    fn batched_delta_inference_is_bit_identical_for_f32_and_int8() {
         let trace = two_phase_trace(60, 2);
         let (cfg, tc) = quick_cfg();
         let tc = TrainCfg {
@@ -726,30 +657,36 @@ mod tests {
             epochs: 1,
             ..tc
         };
+        // Distinct equal-length histories, one per batch lane.
+        let hists: Vec<Vec<(u64, u64)>> = (0..16u64)
+            .map(|b| {
+                (0..5)
+                    .map(|i| ((1 << 16) + 97 * b + i * (1 + b % 3), 0x400000 + 4 * b))
+                    .collect()
+            })
+            .collect();
         for v in Variant::ALL {
-            let model = DeltaPredictor::train(&trace, 2, v, cfg, &tc);
-            let mut s = ScratchArena::new();
-            // Distinct equal-length histories, one per batch lane.
-            let hists: Vec<Vec<(u64, u64)>> = (0..16u64)
-                .map(|b| {
-                    (0..5)
-                        .map(|i| ((1 << 16) + 97 * b + i * (1 + b % 3), 0x400000 + 4 * b))
-                        .collect()
-                })
-                .collect();
-            for batch in [1usize, 2, 5, 16] {
-                let refs: Vec<&[(u64, u64)]> = hists[..batch].iter().map(Vec::as_slice).collect();
-                for phase in 0..2 {
-                    let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
-                    assert_eq!(fused.len(), batch);
-                    for (b, h) in refs.iter().enumerate() {
-                        let solo = model.predict_deltas_in(h, phase, 4, &mut s);
-                        assert_eq!(
-                            fused[b],
-                            solo,
-                            "{} batch={batch} lane={b} phase={phase}",
-                            v.name()
-                        );
+            let mut model = DeltaPredictor::train(&trace, 2, v, cfg, &tc);
+            for quantized in [false, true] {
+                if quantized {
+                    model.quantize();
+                }
+                let mut s = ScratchArena::new();
+                for batch in [1usize, 2, 5, 16] {
+                    let refs: Vec<&[(u64, u64)]> =
+                        hists[..batch].iter().map(Vec::as_slice).collect();
+                    for phase in 0..2 {
+                        let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
+                        assert_eq!(fused.len(), batch);
+                        for (b, h) in refs.iter().enumerate() {
+                            let solo = model.predict_deltas_in(h, phase, 4, &mut s);
+                            assert_eq!(
+                                fused[b],
+                                solo,
+                                "{} int8={quantized} batch={batch} lane={b} phase={phase}",
+                                v.name()
+                            );
+                        }
                     }
                 }
             }
@@ -771,7 +708,7 @@ mod tests {
         };
         let model = DeltaPredictor::train(&trace, 2, Variant::Amma, cfg, &tc);
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let scores = model.predict_scores(&hist, 0);
+        let scores = scores(&model, &hist, 0);
         assert!(
             scores.iter().all(|s| s.is_finite()),
             "NaN leaked into inference"
@@ -779,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_prediction_is_bit_identical_and_allocation_free() {
+    fn prediction_is_allocation_free_at_steady_state_for_f32_and_int8() {
         let trace = two_phase_trace(60, 2);
         let (cfg, tc) = quick_cfg();
         let tc = TrainCfg {
@@ -787,27 +724,29 @@ mod tests {
             epochs: 1,
             ..tc
         };
-        let model = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
+        let mut model = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
         let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let mut s = mpgraph_ml::ScratchArena::new();
-        for phase in [0usize, 1] {
-            let baseline = model.predict_scores(&hist, phase);
-            // Warmup, then steady state must not allocate.
-            let w = model.predict_scores_in(&hist, phase, &mut s);
-            assert_eq!(w.data, baseline, "arena scores must be bit-identical");
-            s.give(w);
-            let (_, misses_after_warmup) = s.stats();
-            for _ in 0..4 {
-                let y = model.predict_scores_in(&hist, phase, &mut s);
-                assert_eq!(y.data, baseline);
-                s.give(y);
+        for quantized in [false, true] {
+            if quantized {
+                model.quantize();
+            }
+            let mut s = ScratchArena::new();
+            for phase in [0usize, 1] {
+                let w = model.predict_logits_in(&hist, phase, &mut s);
+                let baseline = w.data.clone();
+                s.give(w);
+                let (_, misses_warm) = s.stats();
+                for _ in 0..4 {
+                    let y = model.predict_logits_in(&hist, phase, &mut s);
+                    assert_eq!(y.data, baseline);
+                    s.give(y);
+                }
+                let (_, misses) = s.stats();
                 assert_eq!(
-                    model.predict_deltas_in(&hist, phase, 3, &mut s),
-                    model.predict_deltas(&hist, phase, 3)
+                    misses, misses_warm,
+                    "int8={quantized} phase {phase} allocated"
                 );
             }
-            let (_, misses) = s.stats();
-            assert_eq!(misses, misses_after_warmup, "steady state allocated");
         }
     }
 
@@ -817,6 +756,7 @@ mod tests {
         let (cfg, tc) = quick_cfg();
         let mut model = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
         assert!(!model.is_quantized());
+        let f32_model = model.clone();
         model.quantize();
         assert!(model.is_quantized());
         // Int8 weights shrink storage well below f32 even at test-sized
@@ -834,73 +774,13 @@ mod tests {
         assert!(deltas1.contains(&4), "phase-1 deltas {deltas1:?}");
         // And the scores track the f32 path closely.
         for (hist, phase) in [(&hist, 0usize), (&hist1, 1)] {
-            let exact = model.predict_scores(hist, phase);
-            let quant = model.predict_scores_in(hist, phase, &mut s);
+            let exact = scores(&f32_model, hist, phase);
+            let quant = scores(&model, hist, phase);
             let diff = exact
                 .iter()
-                .zip(quant.data.iter())
+                .zip(quant.iter())
                 .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
             assert!(diff < 0.12, "phase {phase}: sigmoid diff {diff}");
-            s.give(quant);
-        }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_to_single_lane() {
-        let trace = two_phase_trace(60, 2);
-        let (cfg, tc) = quick_cfg();
-        let tc = TrainCfg {
-            max_samples: 50,
-            epochs: 1,
-            ..tc
-        };
-        for v in Variant::ALL {
-            let mut model = DeltaPredictor::train(&trace, 2, v, cfg, &tc);
-            model.quantize();
-            let mut s = ScratchArena::new();
-            let hists: Vec<Vec<(u64, u64)>> = (0..8u64)
-                .map(|b| {
-                    (0..5)
-                        .map(|i| ((1 << 16) + 97 * b + i * (1 + b % 3), 0x400000 + 4 * b))
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[(u64, u64)]> = hists.iter().map(Vec::as_slice).collect();
-            for phase in 0..2 {
-                let fused = model.predict_deltas_batch_in(&refs, phase, 4, &mut s);
-                for (b, h) in refs.iter().enumerate() {
-                    let solo = model.predict_deltas_in(h, phase, 4, &mut s);
-                    assert_eq!(fused[b], solo, "{} lane={b} phase={phase}", v.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_inference_is_allocation_free_at_steady_state() {
-        let trace = two_phase_trace(60, 2);
-        let (cfg, tc) = quick_cfg();
-        let tc = TrainCfg {
-            max_samples: 50,
-            epochs: 1,
-            ..tc
-        };
-        let mut model = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
-        model.quantize();
-        let hist: Vec<(u64, u64)> = (0..5).map(|i| ((1 << 16) + i, 0x400000)).collect();
-        let mut s = ScratchArena::new();
-        for phase in [0usize, 1] {
-            let w = model.predict_scores_in(&hist, phase, &mut s);
-            let baseline = w.data.clone();
-            s.give(w);
-            let (_, misses_warm) = s.stats();
-            for _ in 0..4 {
-                let y = model.predict_scores_in(&hist, phase, &mut s);
-                assert_eq!(y.data, baseline);
-                s.give(y);
-            }
-            let (_, misses) = s.stats();
-            assert_eq!(misses, misses_warm, "phase {phase} steady state allocated");
         }
     }
 

@@ -32,6 +32,8 @@ pub mod obs;
 pub mod page_predictor;
 pub mod prefetcher;
 pub mod serve;
+#[cfg(test)]
+mod testutil;
 pub mod trace;
 pub mod train_events;
 pub mod variants;

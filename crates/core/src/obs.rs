@@ -1261,12 +1261,6 @@ impl MetricsSnapshot {
         serde_json::to_string_pretty(self)
     }
 
-    /// Single-line JSON for bulky artifacts where pretty-printed diffs
-    /// would churn thousands of lines.
-    pub fn to_json_compact(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
     /// Folds `other` (the next shard, in fixed shard order) into `self`:
     /// counters add, derived rates recompute from the merged counters,
     /// histograms combine via [`HistogramSnapshot::merge`], and `other`'s

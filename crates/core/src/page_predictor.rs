@@ -9,15 +9,14 @@
 //! is close to uniform across the four cores' positions.
 
 use crate::amma::{AmmaConfig, ModalInput};
-use crate::backbone::Backbone;
+use crate::backbone::{Backbone, Int8Model, Served};
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
 use mpgraph_ml::guard::{GuardAction, TrainGuard};
-use mpgraph_ml::layers::{Embedding, Linear, Module, Sigmoid};
+use mpgraph_ml::layers::{Embedding, Linear, Module, Project, Sigmoid};
 use mpgraph_ml::loss::{bce_with_logits, softmax_cross_entropy};
 use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_ml::optim::Adam;
-use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
 use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, PageVocab};
@@ -68,51 +67,18 @@ pub(crate) struct PageModel {
     /// layer to `log2(vocab)` bits.
     pub(crate) head: Linear,
     pub(crate) tied: bool,
-    /// Int8 snapshot of the head path, filled by
-    /// [`PagePredictor::quantize`] (the backbone snapshot lives inside
-    /// [`Backbone`]). `None` means the f32 path serves.
-    pub(crate) quant: Option<QuantPageHead>,
+    /// Int8 snapshot, filled by [`PagePredictor::quantize`]. `None`
+    /// means the f32 weights serve.
+    pub(crate) int8: Option<Int8Model>,
 }
 
-/// Int8 page head: the pooled→embedding projection, plus (Softmax only)
-/// the tied vocabulary product — each embedding-table row becomes one
-/// quantized output channel with its own scale, so one hot page with large
-/// embedding norm cannot wash out the rest of the vocabulary.
-#[derive(Clone)]
-pub(crate) struct QuantPageHead {
-    pub(crate) head: QuantizedLinear,
-    pub(crate) tied_vocab: Option<QuantizedLinear>,
-}
-
-impl QuantPageHead {
-    fn from_model(m: &PageModel) -> Self {
-        QuantPageHead {
-            head: QuantizedLinear::from_linear(&m.head),
-            tied_vocab: m
-                .tied
-                .then(|| QuantizedLinear::from_rows(&m.embed.table.w, None)),
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.head.storage_bytes()
-            + self
-                .tied_vocab
-                .as_ref()
-                .map_or(0, QuantizedLinear::storage_bytes)
-    }
-
-    /// Logits from the pooled representation: quantized projection, then
-    /// (tied heads) the quantized vocabulary product.
-    fn logits_in(&self, pooled: &Matrix, s: &mut ScratchArena) -> Matrix {
-        match &self.tied_vocab {
-            Some(tv) => {
-                let z = self.head.infer_in(pooled, s);
-                let logits = tv.infer_in(&z, s);
-                s.give(z);
-                logits
-            }
-            None => self.head.infer_in(pooled, s),
+impl PageModel {
+    fn served(&self) -> Served<'_> {
+        Served {
+            backbone: &self.backbone,
+            head: &self.head,
+            tied: self.tied.then_some(&self.embed),
+            int8: self.int8.as_ref(),
         }
     }
 }
@@ -137,29 +103,6 @@ pub struct PagePredictor {
 }
 
 impl PagePredictor {
-    fn encode(
-        cfg: &PagePredictorConfig,
-        embed: &Embedding,
-        hist: &[(usize, u64)],
-        train: bool,
-        embed_mut: Option<&mut Embedding>,
-    ) -> ModalInput {
-        let tokens: Vec<usize> = hist.iter().map(|&(t, _)| t).collect();
-        let addr = if train {
-            embed_mut
-                .expect("train requires mutable embedding")
-                .forward(&tokens)
-        } else {
-            embed.infer(&tokens)
-        };
-        let mut pc = Matrix::zeros(hist.len(), 1);
-        for (i, &(_, pcv)) in hist.iter().enumerate() {
-            pc.data[i] = pc_feature(pcv);
-        }
-        let _ = cfg;
-        ModalInput { addr, pc }
-    }
-
     /// Binary target for token `t` with `bits` bits (LSB first).
     fn binary_target(token: usize, bits: usize) -> Matrix {
         let mut m = Matrix::zeros(1, bits);
@@ -234,7 +177,7 @@ impl PagePredictor {
                     backbone,
                     head,
                     tied,
-                    quant: None,
+                    int8: None,
                 }
             })
             .collect();
@@ -456,108 +399,75 @@ impl PagePredictor {
     /// table). Serving then runs through the i8×i8→i32 kernels.
     pub fn quantize(&mut self) {
         for m in &mut self.models {
-            m.backbone.quantize();
-            m.quant = Some(QuantPageHead::from_model(m));
+            m.int8 = Some(Int8Model::new(
+                &m.backbone,
+                &m.head,
+                m.tied.then_some(&m.embed),
+            ));
         }
     }
 
     pub fn is_quantized(&self) -> bool {
-        !self.models.is_empty()
-            && self
-                .models
-                .iter()
-                .all(|m| m.quant.is_some() && m.backbone.is_quantized())
+        !self.models.is_empty() && self.models.iter().all(|m| m.int8.is_some())
     }
 
     /// Int8 model size across all phase models. The token-embedding lookup
     /// table stays f32 (it is indexed, never multiplied on the input side)
     /// and is counted at full width.
     pub fn quant_storage_bytes(&self) -> Option<usize> {
-        if !self.is_quantized() {
-            return None;
-        }
-        let mut total = 0usize;
-        for m in &self.models {
-            total += m.backbone.quant_storage_bytes()?
-                + m.quant.as_ref()?.storage_bytes()
-                + 4 * m.embed.table.w.data.len();
-        }
-        Some(total)
+        self.models
+            .iter()
+            .map(|m| Some(m.int8.as_ref()?.storage_bytes() + m.embed.storage_bytes()))
+            .sum()
     }
 
-    /// Raw head logits (pre-softmax / pre-sigmoid) — the KD target.
-    pub fn predict_logits(&self, hist: &[(usize, u64)], phase: usize) -> Matrix {
+    /// Raw head logits `[batch, out]` for `hists.len()` same-length
+    /// (token, pc) windows sharing one phase: the windows are stacked into
+    /// a single `(B·T, ·)` modal input so the embedding, backbone, head,
+    /// and tied vocabulary product each run exactly once. Every row is
+    /// bit-identical to its window run alone.
+    fn logits_batch_in(
+        &self,
+        hists: &[&[(usize, u64)]],
+        phase: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let batch = hists.len();
+        let t = hists[0].len();
+        assert!(
+            hists.iter().all(|h| h.len() == t),
+            "fused page batch requires equal-length histories"
+        );
         let m = self.model_for(phase);
-        let x = Self::encode(&self.cfg, &m.embed, hist, false, None);
-        let pooled = m.backbone.infer(&x, phase);
-        if m.tied {
-            m.head.infer(&pooled).matmul_bt(&m.embed.table.w)
-        } else {
-            m.head.infer(&pooled)
+        let tokens: Vec<usize> = hists
+            .iter()
+            .flat_map(|h| h.iter().map(|&(tk, _)| tk))
+            .collect();
+        let addr = m.embed.infer_in(&tokens, s);
+        let mut pc = s.take(batch * t, 1);
+        for (i, &(_, pcv)) in hists.iter().flat_map(|h| h.iter()).enumerate() {
+            pc.data[i] = pc_feature(pcv);
         }
+        let x = ModalInput { addr, pc };
+        let logits = m.served().logits_in(&x, batch, phase, s);
+        s.give(x.addr);
+        s.give(x.pc);
+        logits
     }
 
-    /// Arena-backed [`Self::predict_logits`]: bit-identical output,
-    /// allocation-free tensor work after warmup (the tied head's
-    /// `[1, vocab]` product included). The caller `give`s the result back.
+    /// Raw head logits (pre-softmax / pre-sigmoid) for one window — the KD
+    /// target. The caller `give`s the result back.
     pub fn predict_logits_in(
         &self,
         hist: &[(usize, u64)],
         phase: usize,
         s: &mut ScratchArena,
     ) -> Matrix {
-        let m = self.model_for(phase);
-        let tokens: Vec<usize> = hist.iter().map(|&(t, _)| t).collect();
-        let addr = m.embed.infer_in(&tokens, s);
-        let mut pc = s.take(hist.len(), 1);
-        for (i, &(_, pcv)) in hist.iter().enumerate() {
-            pc.data[i] = pc_feature(pcv);
-        }
-        let x = ModalInput { addr, pc };
-        let pooled = if m.quant.is_some() {
-            m.backbone.forward_quant(&x, phase, s)
-        } else {
-            m.backbone.infer_in(&x, phase, s)
-        };
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let logits = match &m.quant {
-            Some(q) => q.logits_in(&pooled, s),
-            None if m.tied => {
-                let z = m.head.infer_in(&pooled, s);
-                let mut logits = s.take(z.rows, m.embed.table.w.rows);
-                z.matmul_bt_into(&m.embed.table.w, &mut logits);
-                s.give(z);
-                logits
-            }
-            None => m.head.infer_in(&pooled, s),
-        };
-        s.give(pooled);
-        logits
+        self.logits_batch_in(&[hist], phase, s)
     }
 
-    /// Arena-backed [`Self::predict_tokens`].
-    pub fn predict_tokens_in(
-        &self,
-        hist: &[(usize, u64)],
-        phase: usize,
-        k: usize,
-        s: &mut ScratchArena,
-    ) -> Vec<usize> {
-        let mut logits = self.predict_logits_in(hist, phase, s);
-        let toks = match self.cfg.head {
-            PageHead::Softmax => top_k_indices(self.valid_logits(&logits), k),
-            PageHead::BinaryEncoded => {
-                Sigmoid::infer_inplace(&mut logits);
-                vec![Self::decode_bits(logits.row(0), self.vocab.len())]
-            }
-        };
-        s.give(logits);
-        toks
-    }
-
-    /// Arena-backed [`Self::predict_pages`] — the steady-state hot path of
+    /// Top predicted *page numbers* (tokens resolved through the vocab) —
+    /// the steady-state hot path of
     /// [`crate::prefetcher::MpGraphPrefetcher`].
     pub fn predict_pages_in(
         &self,
@@ -566,18 +476,15 @@ impl PagePredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<u64> {
-        self.predict_tokens_in(hist, phase, k + 1, s)
-            .into_iter()
-            .filter_map(|t| self.vocab.page_of(t))
-            .take(k)
-            .collect()
+        self.predict_pages_batch_in(&[hist], phase, k, s)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Batched [`Self::predict_pages_in`] over `hists.len()` same-length
-    /// (token, pc) windows sharing one phase: the windows are stacked into
-    /// a single `(B·T, ·)` modal input so the embedding, backbone, head,
-    /// and tied vocabulary product each run exactly once. Per-row outputs
-    /// are bit-identical to calling [`Self::predict_pages_in`] per window.
+    /// (token, pc) windows sharing one phase, run as one fused forward.
+    /// Per-window outputs are bit-identical to calling
+    /// [`Self::predict_pages_in`] per window.
     pub fn predict_pages_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
@@ -592,51 +499,22 @@ impl PagePredictor {
         // Dedup identical windows before stacking (see
         // [`DeltaPredictor::predict_deltas_batch_in`]): one computed lane
         // serves every duplicate bit-exactly.
-        let (unique, lane_of) = dedup_lanes(hists);
-        if unique.len() < batch {
-            let uniq = self.predict_pages_batch_in(&unique, phase, k, s);
-            return lane_of.iter().map(|&i| uniq[i].clone()).collect();
-        }
-        let t = hists[0].len();
-        assert!(
-            hists.iter().all(|h| h.len() == t),
-            "fused page batch requires equal-length histories"
-        );
-        let m = self.model_for(phase);
-        let mut tokens = Vec::with_capacity(batch * t);
-        for hist in hists {
-            tokens.extend(hist.iter().map(|&(tk, _)| tk));
-        }
-        let addr = m.embed.infer_in(&tokens, s);
-        let mut pc = s.take(batch * t, 1);
-        for (b, hist) in hists.iter().enumerate() {
-            for (i, &(_, pcv)) in hist.iter().enumerate() {
-                pc.data[b * t + i] = pc_feature(pcv);
+        if batch > 1 {
+            let (unique, lane_of) = dedup_lanes(hists);
+            if unique.len() < batch {
+                let uniq = self.predict_pages_batch_in(&unique, phase, k, s);
+                return lane_of.iter().map(|&i| uniq[i].clone()).collect();
             }
         }
-        let x = ModalInput { addr, pc };
-        let pooled = if m.quant.is_some() {
-            m.backbone.forward_batch_quant(&x, batch, phase, s)
-        } else {
-            m.backbone.infer_batch_in(&x, batch, phase, s)
-        };
-        let ModalInput { addr, pc } = x;
-        s.give(addr);
-        s.give(pc);
-        let mut logits = match &m.quant {
-            Some(q) => q.logits_in(&pooled, s),
-            None if m.tied => {
-                let z = m.head.infer_in(&pooled, s);
-                let mut logits = s.take(z.rows, m.embed.table.w.rows);
-                z.matmul_bt_into(&m.embed.table.w, &mut logits);
-                s.give(z);
-                logits
-            }
-            None => m.head.infer_in(&pooled, s),
-        };
-        s.give(pooled);
+        let mut logits = self.logits_batch_in(hists, phase, s);
         let out = match self.cfg.head {
             PageHead::Softmax => {
+                // Head capacity is `page_vocab`, but only `vocab.len()`
+                // slots were ever trained. Slots past that are random-init
+                // weights whose logits can win top-k, and since they
+                // resolve to no page they would starve downstream
+                // consumers (the CSTP temporal chain breaks before its
+                // PBOT lookup when no page comes back).
                 let valid = self.vocab.len().min(logits.cols).max(1);
                 (0..batch)
                     .map(|b| {
@@ -662,38 +540,6 @@ impl PagePredictor {
         out
     }
 
-    /// The logits row truncated to tokens the vocabulary actually maps:
-    /// head capacity is `page_vocab`, but only `vocab.len()` slots were
-    /// ever trained. Slots past that are random-init weights whose logits
-    /// can win top-k, and since they resolve to no page they would starve
-    /// downstream consumers (the CSTP temporal chain breaks before its
-    /// PBOT lookup when `predict_pages` comes back empty).
-    fn valid_logits<'a>(&self, logits: &'a Matrix) -> &'a [f32] {
-        let valid = self.vocab.len().min(logits.cols).max(1);
-        &logits.row(0)[..valid]
-    }
-
-    /// Top-`k` predicted page tokens for a (token, pc) history.
-    pub fn predict_tokens(&self, hist: &[(usize, u64)], phase: usize, k: usize) -> Vec<usize> {
-        let logits = self.predict_logits(hist, phase);
-        match self.cfg.head {
-            PageHead::Softmax => top_k_indices(self.valid_logits(&logits), k),
-            PageHead::BinaryEncoded => {
-                let probs = Sigmoid::infer(&logits);
-                vec![Self::decode_bits(probs.row(0), self.vocab.len())]
-            }
-        }
-    }
-
-    /// Top predicted *page numbers* (tokens resolved through the vocab).
-    pub fn predict_pages(&self, hist: &[(usize, u64)], phase: usize, k: usize) -> Vec<u64> {
-        self.predict_tokens(hist, phase, k + 1)
-            .into_iter()
-            .filter_map(|t| self.vocab.page_of(t))
-            .take(k)
-            .collect()
-    }
-
     /// Table 7 metric: accuracy@`k` — the top-1 predicted page counts as
     /// correct if it occurs within the core's next `k` accesses (histories
     /// and windows follow the per-core streams the predictor models).
@@ -713,6 +559,7 @@ impl PagePredictor {
         let stride = (total_len.saturating_sub(t + k) / max_samples.max(1)).max(1);
         let mut hits = 0usize;
         let mut total = 0usize;
+        let mut s = ScratchArena::new();
         for seq in per_core.iter().filter(|s| s.len() > t + k) {
             let mut i = 0usize;
             while i + t + k < seq.len() && total < max_samples {
@@ -721,7 +568,7 @@ impl PagePredictor {
                     .iter()
                     .map(|rec| (self.vocab.token_of(rec.page()), rec.pc))
                     .collect();
-                let preds = self.predict_pages(&hist, phase, 1);
+                let preds = self.predict_pages_in(&hist, phase, 1, &mut s);
                 if let Some(&p) = preds.first() {
                     if seq[i + t..i + t + k].iter().any(|r| r.page() == p) {
                         hits += 1;
@@ -848,7 +695,7 @@ mod tests {
             .iter()
             .map(|&p| (model.vocab.token_of(p), 0x400000))
             .collect();
-        let pages = model.predict_pages(&hist, 0, 1);
+        let pages = model.predict_pages_in(&hist, 0, 1, &mut ScratchArena::new());
         assert_eq!(pages, vec![10]);
     }
 
@@ -867,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_page_inference_is_bit_identical() {
+    fn batched_page_inference_is_bit_identical_for_f32_and_int8() {
         let trace = two_phase_trace(2);
         let (cfg, tc) = quick_cfg();
         let tc = TrainCfg {
@@ -878,8 +725,7 @@ mod tests {
         for head in [PageHead::Softmax, PageHead::BinaryEncoded] {
             let cfg = PagePredictorConfig { head, ..cfg };
             for v in [Variant::Lstm, Variant::Attention, Variant::AmmaPs] {
-                let model = PagePredictor::train(&trace, 2, v, cfg, &tc);
-                let mut s = ScratchArena::new();
+                let mut model = PagePredictor::train(&trace, 2, v, cfg, &tc);
                 // Distinct equal-length token histories over the trained
                 // working set, one per batch lane.
                 let pages = [10u64, 11, 12, 50, 60, 70, 80];
@@ -893,21 +739,27 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                for batch in [1usize, 2, 5, 16] {
-                    let refs: Vec<&[(usize, u64)]> =
-                        hists[..batch].iter().map(Vec::as_slice).collect();
-                    for phase in 0..2 {
-                        let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
-                        assert_eq!(fused.len(), batch);
-                        for (b, h) in refs.iter().enumerate() {
-                            let solo = model.predict_pages_in(h, phase, 3, &mut s);
-                            assert_eq!(
-                                fused[b],
-                                solo,
-                                "{} {:?} batch={batch} lane={b} phase={phase}",
-                                v.name(),
-                                head
-                            );
+                for quantized in [false, true] {
+                    if quantized {
+                        model.quantize();
+                    }
+                    let mut s = ScratchArena::new();
+                    for batch in [1usize, 2, 5, 16] {
+                        let refs: Vec<&[(usize, u64)]> =
+                            hists[..batch].iter().map(Vec::as_slice).collect();
+                        for phase in 0..2 {
+                            let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
+                            assert_eq!(fused.len(), batch);
+                            for (b, h) in refs.iter().enumerate() {
+                                let solo = model.predict_pages_in(h, phase, 3, &mut s);
+                                assert_eq!(
+                                    fused[b],
+                                    solo,
+                                    "{} {head:?} int8={quantized} batch={batch} lane={b} \
+                                     phase={phase}",
+                                    v.name(),
+                                );
+                            }
                         }
                     }
                 }
@@ -916,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_prediction_is_bit_identical_for_both_heads() {
+    fn prediction_is_allocation_free_for_both_heads_f32_and_int8() {
         let trace = two_phase_trace(2);
         let (cfg, tc) = quick_cfg();
         let tc = TrainCfg {
@@ -926,26 +778,31 @@ mod tests {
         };
         for head in [PageHead::Softmax, PageHead::BinaryEncoded] {
             let cfg = PagePredictorConfig { head, ..cfg };
-            let model = PagePredictor::train(&trace, 2, Variant::AmmaPi, cfg, &tc);
+            let mut model = PagePredictor::train(&trace, 2, Variant::AmmaPi, cfg, &tc);
             let hist: Vec<(usize, u64)> = [11u64, 12, 10, 11, 12]
                 .iter()
                 .map(|&p| (model.vocab.token_of(p), 0x400000))
                 .collect();
-            let mut s = mpgraph_ml::ScratchArena::new();
-            for phase in [0usize, 1] {
-                let baseline = model.predict_logits(&hist, phase);
-                let w = model.predict_logits_in(&hist, phase, &mut s);
-                assert_eq!(w.data, baseline.data, "arena logits must be bit-identical");
-                s.give(w);
-                let (_, misses_after_warmup) = s.stats();
-                for _ in 0..4 {
-                    assert_eq!(
-                        model.predict_pages_in(&hist, phase, 2, &mut s),
-                        model.predict_pages(&hist, phase, 2)
-                    );
+            for quantized in [false, true] {
+                if quantized {
+                    model.quantize();
                 }
-                let (_, misses) = s.stats();
-                assert_eq!(misses, misses_after_warmup, "steady state allocated");
+                let mut s = ScratchArena::new();
+                for phase in [0usize, 1] {
+                    let w = model.predict_logits_in(&hist, phase, &mut s);
+                    let baseline = w.data.clone();
+                    s.give(w);
+                    let pages = model.predict_pages_in(&hist, phase, 2, &mut s);
+                    let (_, misses_after_warmup) = s.stats();
+                    for _ in 0..4 {
+                        let y = model.predict_logits_in(&hist, phase, &mut s);
+                        assert_eq!(y.data, baseline);
+                        s.give(y);
+                        assert_eq!(model.predict_pages_in(&hist, phase, 2, &mut s), pages);
+                    }
+                    let (_, misses) = s.stats();
+                    assert_eq!(misses, misses_after_warmup, "{head:?} int8={quantized}");
+                }
             }
         }
     }
@@ -970,49 +827,6 @@ mod tests {
             let mut s = ScratchArena::new();
             let pages = model.predict_pages_in(&hist, 0, 1, &mut s);
             assert_eq!(pages, vec![10], "{head:?}");
-        }
-    }
-
-    #[test]
-    fn quantized_batched_page_inference_is_bit_identical() {
-        let trace = two_phase_trace(2);
-        let (cfg, tc) = quick_cfg();
-        let tc = TrainCfg {
-            max_samples: 80,
-            epochs: 1,
-            ..tc
-        };
-        for head in [PageHead::Softmax, PageHead::BinaryEncoded] {
-            let cfg = PagePredictorConfig { head, ..cfg };
-            for v in [Variant::Lstm, Variant::Attention, Variant::AmmaPs] {
-                let mut model = PagePredictor::train(&trace, 2, v, cfg, &tc);
-                model.quantize();
-                let mut s = ScratchArena::new();
-                let pages = [10u64, 11, 12, 50, 60, 70, 80];
-                let hists: Vec<Vec<(usize, u64)>> = (0..8usize)
-                    .map(|b| {
-                        (0..5)
-                            .map(|i| {
-                                let p = pages[(b + 2 * i) % pages.len()];
-                                (model.vocab.token_of(p), 0x400000 + 4 * b as u64)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let refs: Vec<&[(usize, u64)]> = hists.iter().map(Vec::as_slice).collect();
-                for phase in 0..2 {
-                    let fused = model.predict_pages_batch_in(&refs, phase, 3, &mut s);
-                    for (b, h) in refs.iter().enumerate() {
-                        let solo = model.predict_pages_in(h, phase, 3, &mut s);
-                        assert_eq!(
-                            fused[b],
-                            solo,
-                            "{} {head:?} lane={b} phase={phase}",
-                            v.name()
-                        );
-                    }
-                }
-            }
         }
     }
 

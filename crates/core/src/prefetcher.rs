@@ -296,16 +296,6 @@ impl MpGraphPrefetcher {
         self.controller.transitions_handled
     }
 
-    /// Lifetime counters of the active transition detector.
-    pub fn detector_stats(&self) -> mpgraph_phase::DetectorStats {
-        self.detector.stats()
-    }
-
-    /// Name of the active transition detector (Table 4 spelling).
-    pub fn detector_name(&self) -> &'static str {
-        self.detector.name()
-    }
-
     /// Everything the fused serving path needs to run this stream's CSTP
     /// chain *between* [`Self::begin_access`] and
     /// [`Self::apply_fused_chain`]: shared borrows of the models, PBOT and

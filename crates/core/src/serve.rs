@@ -441,11 +441,6 @@ impl PrefetchService {
         self.livetel = Some(Box::new(tel));
     }
 
-    /// The live telemetry attachment, if any.
-    pub fn live_telemetry(&self) -> Option<&LiveTelemetry> {
-        self.livetel.as_deref()
-    }
-
     /// Closes the trailing partial telemetry interval and flushes the
     /// NDJSON sink. Call after the final `flush` so the last accesses of
     /// a live session land in the interval stream.

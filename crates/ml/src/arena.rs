@@ -10,7 +10,7 @@
 //! The arena is deliberately *not* stored inside models: models stay `Sync`
 //! and shareable across threads, and each caller (the prefetcher hot path, a
 //! bench thread, an evaluation worker) owns its own arena, passed down as
-//! `&mut` through the `infer_in` methods. Buffer reuse is LIFO, so the most
+//! `&mut` through the `infer_batch_in` methods. Buffer reuse is LIFO, so the most
 //! recently released buffer — the one most likely still in cache — is handed
 //! out first.
 
@@ -99,21 +99,10 @@ impl ScratchArena {
         self.pools_i16.entry(data.len()).or_default().push(data);
     }
 
-    /// Adds the sinusoidal positional encoding for `m`'s shape to `m`,
-    /// computing and caching the constant on first use.
-    pub fn add_positional(&mut self, m: &mut Matrix) {
-        let key = (m.rows, m.cols);
-        let pe = self
-            .pe_cache
-            .entry(key)
-            .or_insert_with(|| positional_encoding(key.0, key.1));
-        m.add_assign(pe);
-    }
-
-    /// Adds the `[seq_len, cols]` positional encoding to each of the
-    /// `m.rows / seq_len` sequences stacked in `m` — the batched
-    /// counterpart of [`ScratchArena::add_positional`]. Each sequence gets
-    /// its own position ramp starting at 0, not one ramp across the whole
+    /// Adds the `[seq_len, cols]` sinusoidal positional encoding to each
+    /// of the `m.rows / seq_len` sequences stacked in `m`, computing and
+    /// caching the constant on first use. Each sequence gets its own
+    /// position ramp starting at 0, not one ramp across the whole
     /// concatenated batch, so the result is bit-identical to encoding the
     /// sequences separately.
     pub fn add_positional_per_seq(&mut self, m: &mut Matrix, seq_len: usize) {
@@ -173,11 +162,11 @@ mod tests {
     fn positional_encoding_is_cached_and_correct() {
         let mut s = ScratchArena::new();
         let mut a = Matrix::zeros(5, 8);
-        s.add_positional(&mut a);
+        s.add_positional_per_seq(&mut a, 5);
         let expected = positional_encoding(5, 8);
         assert_eq!(a.data, expected.data);
         // Second call must add the same constant again (not recompute wrongly).
-        s.add_positional(&mut a);
+        s.add_positional_per_seq(&mut a, 5);
         for (v, e) in a.data.iter().zip(expected.data.iter()) {
             assert!((v - 2.0 * e).abs() < 1e-6);
         }

@@ -2,18 +2,21 @@
 //! multi-head (Eq. 9) forms, with full backward passes.
 
 use crate::arena::ScratchArena;
-use crate::layers::{Module, Param};
+use crate::layers::{Module, Param, Project};
+use crate::quant::QuantizedLinear;
 use crate::tensor::Matrix;
 use rand_chacha::ChaCha8Rng;
 
 /// Single-head self-attention: `Y = softmax(Q K^T / sqrt(d)) V` with
 /// `Q = X Wq`, `K = X Wk`, `V = X Wv`. This is the "self-attention layer"
-/// AMMA applies to each input modality.
+/// AMMA applies to each input modality. `W` is the projection weight type:
+/// [`Param`] for the trained model, [`QuantizedLinear`] for its int8
+/// snapshot.
 #[derive(Debug, Clone)]
-pub struct SelfAttention {
-    pub wq: Param,
-    pub wk: Param,
-    pub wv: Param,
+pub struct SelfAttention<W = Param> {
+    pub wq: W,
+    pub wk: W,
+    pub wv: W,
     head_dim: usize,
     cache: Option<AttnCache>,
 }
@@ -38,8 +41,15 @@ impl SelfAttention {
         }
     }
 
-    pub fn out_dim(&self) -> usize {
-        self.head_dim
+    /// Int8 snapshot: the three projections quantized per output channel.
+    pub fn quantized(&self) -> SelfAttention<QuantizedLinear> {
+        SelfAttention {
+            wq: QuantizedLinear::from_param(&self.wq),
+            wk: QuantizedLinear::from_param(&self.wk),
+            wv: QuantizedLinear::from_param(&self.wv),
+            head_dim: self.head_dim,
+            cache: None,
+        }
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
@@ -57,87 +67,6 @@ impl SelfAttention {
             v,
             attn,
         });
-        y
-    }
-
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let q = x.matmul(&self.wq.w);
-        let k = x.matmul(&self.wk.w);
-        let v = x.matmul(&self.wv.w);
-        let mut scores = q.matmul_bt(&k);
-        scores.scale(1.0 / (self.head_dim as f32).sqrt());
-        scores.softmax_rows().matmul(&v)
-    }
-
-    /// Inference-only forward through arena-owned scratch buffers; the
-    /// returned matrix should be `give`-n back by the caller.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
-        let mut q = s.take(rows, self.head_dim);
-        let mut k = s.take(rows, self.head_dim);
-        let mut v = s.take(rows, self.head_dim);
-        x.matmul_into(&self.wq.w, &mut q);
-        x.matmul_into(&self.wk.w, &mut k);
-        x.matmul_into(&self.wv.w, &mut v);
-        let mut scores = s.take(rows, rows);
-        q.matmul_bt_into(&k, &mut scores);
-        scores.scale(1.0 / (self.head_dim as f32).sqrt());
-        scores.softmax_rows_inplace();
-        let mut y = s.take(rows, self.head_dim);
-        scores.matmul_into(&v, &mut y);
-        s.give(q);
-        s.give(k);
-        s.give(v);
-        s.give(scores);
-        y
-    }
-
-    /// Batched inference over `batch` stacked sequences: `x` is
-    /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
-    /// block of rows. The Q/K/V projections — shared by every row — run as
-    /// single fused matmuls over the whole stack; attention itself is
-    /// confined to each sequence's own `[seq, seq]` score block, so the
-    /// output is bit-identical to [`SelfAttention::infer_in`] run on each
-    /// sequence separately.
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        assert!(
-            batch > 0 && x.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.rows / batch;
-        let rows = x.rows;
-        let hd = self.head_dim;
-        let mut q = s.take(rows, hd);
-        let mut k = s.take(rows, hd);
-        let mut v = s.take(rows, hd);
-        x.matmul_into(&self.wq.w, &mut q);
-        x.matmul_into(&self.wk.w, &mut k);
-        x.matmul_into(&self.wv.w, &mut v);
-        let mut y = s.take(rows, hd);
-        let mut qb = s.take(seq, hd);
-        let mut kb = s.take(seq, hd);
-        let mut vb = s.take(seq, hd);
-        let mut yb = s.take(seq, hd);
-        let mut scores = s.take(seq, seq);
-        for b in 0..batch {
-            let span = b * seq * hd..(b + 1) * seq * hd;
-            qb.data.copy_from_slice(&q.data[span.clone()]);
-            kb.data.copy_from_slice(&k.data[span.clone()]);
-            vb.data.copy_from_slice(&v.data[span.clone()]);
-            qb.matmul_bt_into(&kb, &mut scores);
-            scores.scale(1.0 / (hd as f32).sqrt());
-            scores.softmax_rows_inplace();
-            scores.matmul_into(&vb, &mut yb);
-            y.data[span].copy_from_slice(&yb.data);
-        }
-        s.give(qb);
-        s.give(kb);
-        s.give(vb);
-        s.give(yb);
-        s.give(scores);
-        s.give(q);
-        s.give(k);
-        s.give(v);
         y
     }
 
@@ -165,6 +94,57 @@ impl SelfAttention {
     }
 }
 
+impl<W: Project> SelfAttention<W> {
+    pub fn out_dim(&self) -> usize {
+        self.head_dim
+    }
+
+    pub fn storage_bytes(&self) -> usize {
+        self.wq.storage_bytes() + self.wk.storage_bytes() + self.wv.storage_bytes()
+    }
+
+    /// Inference over `batch` stacked sequences: `x` is
+    /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
+    /// block of rows (a single window is `batch = 1`). The Q/K/V
+    /// projections — shared by every row — run as single fused products
+    /// over the whole stack; attention itself is confined to each
+    /// sequence's own `[seq, seq]` score block, so every sequence's rows
+    /// are bit-identical to running it alone. Scratch comes from `s`; the
+    /// caller gives the result back.
+    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
+        assert!(
+            batch > 0 && x.rows.is_multiple_of(batch),
+            "rows must tile by batch"
+        );
+        let seq = x.rows / batch;
+        let hd = self.head_dim;
+        let q = self.wq.project_in(x, s);
+        let k = self.wk.project_in(x, s);
+        let v = self.wv.project_in(x, s);
+        let mut y = s.take(x.rows, hd);
+        let mut qb = s.take(seq, hd);
+        let mut kb = s.take(seq, hd);
+        let mut vb = s.take(seq, hd);
+        let mut yb = s.take(seq, hd);
+        let mut scores = s.take(seq, seq);
+        for b in 0..batch {
+            let span = b * seq * hd..(b + 1) * seq * hd;
+            qb.data.copy_from_slice(&q.data[span.clone()]);
+            kb.data.copy_from_slice(&k.data[span.clone()]);
+            vb.data.copy_from_slice(&v.data[span.clone()]);
+            qb.matmul_bt_into(&kb, &mut scores);
+            scores.scale(1.0 / (hd as f32).sqrt());
+            scores.softmax_rows_inplace();
+            scores.matmul_into(&vb, &mut yb);
+            y.data[span].copy_from_slice(&yb.data);
+        }
+        for m in [qb, kb, vb, yb, scores, q, k, v] {
+            s.give(m);
+        }
+        y
+    }
+}
+
 impl Module for SelfAttention {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.wq);
@@ -182,9 +162,9 @@ impl Module for SelfAttention {
 /// Multi-head self-attention (Eq. 9): H parallel heads of dimension
 /// `dim / heads`, concatenated and projected by `Wo`.
 #[derive(Debug, Clone)]
-pub struct MultiHeadAttention {
-    pub heads: Vec<SelfAttention>,
-    pub wo: Param,
+pub struct MultiHeadAttention<W = Param> {
+    pub heads: Vec<SelfAttention<W>>,
+    pub wo: W,
     dim: usize,
     cache_concat: Option<Matrix>,
 }
@@ -203,78 +183,29 @@ impl MultiHeadAttention {
         }
     }
 
+    /// Int8 snapshot: quantized heads plus a quantized `Wo`.
+    pub fn quantized(&self) -> MultiHeadAttention<QuantizedLinear> {
+        MultiHeadAttention {
+            heads: self.heads.iter().map(SelfAttention::quantized).collect(),
+            wo: QuantizedLinear::from_param(&self.wo),
+            dim: self.dim,
+            cache_concat: None,
+        }
+    }
+
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let concat = self.concat(x, true);
-        concat.matmul(&self.wo.w)
-    }
-
-    pub fn infer(&self, x: &Matrix) -> Matrix {
         let s = x.rows;
-        let mut concat = Matrix::zeros(s, self.dim);
         let head_dim = self.dim / self.heads.len();
-        for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer(x);
+        let mut concat = Matrix::zeros(s, self.dim);
+        for (h, head) in self.heads.iter_mut().enumerate() {
+            let y = head.forward(x);
             for r in 0..s {
                 concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
             }
         }
-        concat.matmul(&self.wo.w)
-    }
-
-    /// Inference-only forward through arena-owned scratch buffers.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
-        let head_dim = self.dim / self.heads.len();
-        let mut concat = s.take(rows, self.dim);
-        for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer_in(x, s);
-            for r in 0..rows {
-                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
-            }
-            s.give(y);
-        }
-        let mut out = s.take(rows, self.wo.w.cols);
-        concat.matmul_into(&self.wo.w, &mut out);
-        s.give(concat);
+        let out = concat.matmul(&self.wo.w);
+        self.cache_concat = Some(concat);
         out
-    }
-
-    /// Batched inference over `batch` stacked sequences; see
-    /// [`SelfAttention::infer_batch_in`]. Bit-identical to per-sequence
-    /// [`MultiHeadAttention::infer_in`].
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
-        let head_dim = self.dim / self.heads.len();
-        let mut concat = s.take(rows, self.dim);
-        for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer_batch_in(x, batch, s);
-            for r in 0..rows {
-                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
-            }
-            s.give(y);
-        }
-        let mut out = s.take(rows, self.wo.w.cols);
-        concat.matmul_into(&self.wo.w, &mut out);
-        s.give(concat);
-        out
-    }
-
-    fn concat(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let s = x.rows;
-        let head_dim = self.dim / self.heads.len();
-        let mut concat = Matrix::zeros(s, self.dim);
-        for h in 0..self.heads.len() {
-            let y = if train {
-                self.heads[h].forward(x)
-            } else {
-                self.heads[h].infer(x)
-            };
-            for r in 0..s {
-                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
-            }
-        }
-        self.cache_concat = Some(concat.clone());
-        concat
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
@@ -300,6 +231,34 @@ impl MultiHeadAttention {
     }
 }
 
+impl<W: Project> MultiHeadAttention<W> {
+    pub fn storage_bytes(&self) -> usize {
+        self.heads
+            .iter()
+            .map(SelfAttention::storage_bytes)
+            .sum::<usize>()
+            + self.wo.storage_bytes()
+    }
+
+    /// Inference over `batch` stacked sequences; see
+    /// [`SelfAttention::infer_batch_in`].
+    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
+        let rows = x.rows;
+        let head_dim = self.dim / self.heads.len();
+        let mut concat = s.take(rows, self.dim);
+        for (h, head) in self.heads.iter().enumerate() {
+            let y = head.infer_batch_in(x, batch, s);
+            for r in 0..rows {
+                concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
+            }
+            s.give(y);
+        }
+        let out = self.wo.project_in(&concat, s);
+        s.give(concat);
+        out
+    }
+}
+
 impl Module for MultiHeadAttention {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for h in &mut self.heads {
@@ -320,6 +279,15 @@ impl Module for MultiHeadAttention {
 mod tests {
     use super::*;
     use crate::tensor::rng;
+    use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
+
+    fn infer(a: &SelfAttention, x: &Matrix) -> Matrix {
+        a.infer_batch_in(x, 1, &mut ScratchArena::new())
+    }
+
+    fn infer_mha(m: &MultiHeadAttention, x: &Matrix) -> Matrix {
+        m.infer_batch_in(x, 1, &mut ScratchArena::new())
+    }
 
     fn weighted_sum(y: &Matrix, w: &Matrix) -> f32 {
         y.data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
@@ -377,8 +345,8 @@ mod tests {
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let num =
-                (weighted_sum(&a.infer(&xp), &w) - weighted_sum(&a.infer(&xm), &w)) / (2.0 * eps);
+            let num = (weighted_sum(&infer(&a, &xp), &w) - weighted_sum(&infer(&a, &xm), &w))
+                / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 3e-2,
                 "idx {i}: {num} vs {}",
@@ -402,8 +370,8 @@ mod tests {
             // Perturb wq[pi][get].
             *ap.wq.w.at_mut(pi, get) += eps;
             *am.wq.w.at_mut(pi, get) -= eps;
-            let num =
-                (weighted_sum(&ap.infer(&x), &w) - weighted_sum(&am.infer(&x), &w)) / (2.0 * eps);
+            let num = (weighted_sum(&infer(&ap, &x), &w) - weighted_sum(&infer(&am, &x), &w))
+                / (2.0 * eps);
             let analytic = a.wq.g.at(pi, get);
             assert!(
                 (num - analytic).abs() < 3e-2,
@@ -437,7 +405,8 @@ mod tests {
             xp.data[i] += eps;
             let mut xm = x.clone();
             xm.data[i] -= eps;
-            let num = (weighted_sum(&mha.infer(&xp), &w) - weighted_sum(&mha.infer(&xm), &w))
+            let num = (weighted_sum(&infer_mha(&mha, &xp), &w)
+                - weighted_sum(&infer_mha(&mha, &xm), &w))
                 / (2.0 * eps);
             assert!(
                 (num - dx.data[i]).abs() < 3e-2,
@@ -452,5 +421,44 @@ mod tests {
     fn multi_head_rejects_indivisible_dims() {
         let mut r = rng(7);
         let _ = MultiHeadAttention::new(6, 4, &mut r);
+    }
+
+    #[test]
+    fn inference_tracks_training_forward() {
+        let mut r = rng(8);
+        let mut a = SelfAttention::new(8, 4, &mut r);
+        let mut mha = MultiHeadAttention::new(8, 2, &mut r);
+        let x = Matrix::xavier(5, 8, &mut r);
+        let y = a.forward(&x);
+        assert!(max_abs_diff(&y.data, &infer(&a, &x).data) < 1e-6);
+        let y = mha.forward(&x);
+        assert!(max_abs_diff(&y.data, &infer_mha(&mha, &x).data) < 1e-6);
+    }
+
+    #[test]
+    fn batched_rows_match_single_for_f32_and_int8() {
+        let mut r = rng(9);
+        let a = SelfAttention::new(8, 4, &mut r);
+        let qa = a.quantized();
+        let mha = MultiHeadAttention::new(8, 2, &mut r);
+        let qmha = mha.quantized();
+        assert_batch_rows_match_single(5, 8, 10, |x, b, s| a.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 11, |x, b, s| qa.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 12, |x, b, s| mha.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 13, |x, b, s| qmha.infer_batch_in(x, b, s));
+    }
+
+    #[test]
+    fn int8_snapshot_tracks_f32() {
+        let mut r = rng(31);
+        let a = SelfAttention::new(16, 8, &mut r);
+        let x = Matrix::xavier(9, 16, &mut r);
+        let mut s = ScratchArena::new();
+        let exact = a.infer_batch_in(&x, 1, &mut s);
+        let quant = a.quantized().infer_batch_in(&x, 1, &mut s);
+        // Attention outputs are convex mixes of projected rows; int8 error
+        // stays well under the activation magnitude.
+        let diff = max_abs_diff(&exact.data, &quant.data);
+        assert!(diff < 0.05 && diff > 0.0, "diff {diff}");
     }
 }

@@ -74,6 +74,57 @@ pub trait Module {
     }
 }
 
+/// A weight-side product `y = x W (+ b)`: the one operation the inference
+/// forwards depend on the weight type for. Every layer's `infer_batch_in`
+/// is written once against this trait, so the f32 model (weights in
+/// [`Param`]/[`Linear`], run by `matmul_into`) and its int8 snapshot
+/// (weights in [`crate::quant::QuantizedLinear`], run by the i8 kernels)
+/// are two monomorphised instantiations of the same code.
+pub trait Project {
+    /// `x W (+ b)` in an arena buffer the caller gives back.
+    fn project_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix;
+
+    /// Deployed size of the weights, in bytes.
+    fn storage_bytes(&self) -> usize;
+}
+
+/// A bare weight matrix projects without a bias.
+impl Project for Param {
+    fn project_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let mut y = s.take(x.rows, self.w.cols);
+        x.matmul_into(&self.w, &mut y);
+        y
+    }
+
+    fn storage_bytes(&self) -> usize {
+        4 * self.len()
+    }
+}
+
+impl Project for Linear {
+    fn project_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+        self.infer_in(x, s)
+    }
+
+    fn storage_bytes(&self) -> usize {
+        4 * (self.w.len() + self.b.len())
+    }
+}
+
+/// An embedding table read as a tied output layer: `x · tableᵀ` scores
+/// every token against `x` (the page predictor's Softmax head).
+impl Project for Embedding {
+    fn project_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let mut y = s.take(x.rows, self.table.w.rows);
+        x.matmul_bt_into(&self.table.w, &mut y);
+        y
+    }
+
+    fn storage_bytes(&self) -> usize {
+        4 * self.table.len()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Linear
 // ---------------------------------------------------------------------------

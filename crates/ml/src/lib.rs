@@ -44,23 +44,21 @@ pub mod lstm;
 pub mod metrics;
 pub mod optim;
 pub mod pca;
-pub mod qinfer;
 pub mod quant;
 pub mod tensor;
+#[cfg(test)]
+mod testutil;
 pub mod transformer;
 
 pub use arena::ScratchArena;
 pub use attention::{MultiHeadAttention, SelfAttention};
 pub use guard::{GuardAction, TrainGuard};
-pub use layers::{Embedding, LayerNorm, Linear, Module, Param, Relu, Sigmoid};
+pub use layers::{Embedding, LayerNorm, Linear, Module, Param, Project, Relu, Sigmoid};
 pub use loss::{bce_with_logits, distillation_loss, softmax_cross_entropy};
-pub use lstm::Lstm;
+pub use lstm::{Lstm, LstmGates};
 pub use metrics::{accuracy_at_k, multilabel_f1, top_k_indices, Prf};
 pub use optim::{Adam, Sgd};
 pub use pca::Pca;
-pub use qinfer::{
-    QuantFeedForward, QuantLstm, QuantMultiHeadAttention, QuantSelfAttention, QuantTransformerLayer,
-};
 pub use quant::{float_storage_bytes, quantize_module, QuantizedLinear, QuantizedTensor};
 pub use tensor::{rng, Matrix};
 pub use transformer::{FeedForward, TransformerLayer};

@@ -3,7 +3,8 @@
 //! predictor) and of the LSTM rows in Tables 6-7.
 
 use crate::arena::ScratchArena;
-use crate::layers::{Module, Param};
+use crate::layers::{Module, Param, Project};
+use crate::quant::{dot_i16, quantize_row, widen_i8_into, QuantizedLinear};
 use crate::tensor::Matrix;
 use rand_chacha::ChaCha8Rng;
 
@@ -26,15 +27,72 @@ struct StepCache {
 }
 
 /// Single-layer LSTM. Gate order in the packed weight matrices: input,
-/// forget, cell, output.
+/// forget, cell, output. `W` is the gate weight type: [`Param`] for the
+/// trained model, [`QuantizedLinear`] for its int8 snapshot (one scale per
+/// packed gate column); the bias, recurrence and nonlinearities stay f32.
 #[derive(Debug, Clone)]
-pub struct Lstm {
-    pub w_ih: Param, // [in, 4h]
-    pub w_hh: Param, // [h, 4h]
-    pub b: Param,    // [1, 4h]
+pub struct Lstm<W = Param> {
+    pub w_ih: W,  // [in, 4h]
+    pub w_hh: W,  // [h, 4h]
+    pub b: Param, // [1, 4h]
     in_dim: usize,
     hidden: usize,
     cache: Vec<StepCache>,
+}
+
+/// The gate pre-activations `z = b + x W_ih + h_prev W_hh` for one
+/// sequence at one timestep — the only step of the recurrence whose
+/// arithmetic depends on the weight type.
+pub trait LstmGates: Sized {
+    fn gates_into(
+        lstm: &Lstm<Self>,
+        x: &[f32],
+        h_prev: &[f32],
+        z: &mut [f32],
+        s: &mut ScratchArena,
+    );
+}
+
+impl LstmGates for Param {
+    fn gates_into(lstm: &Lstm, x: &[f32], h_prev: &[f32], z: &mut [f32], _: &mut ScratchArena) {
+        lstm.gates(x, h_prev, z);
+    }
+}
+
+impl LstmGates for QuantizedLinear {
+    /// `z_j = b_j + (qx · qw_ih[j]) sx s_ih[j] + (qh · qw_hh[j]) sh s_hh[j]`:
+    /// the input row and the hidden state are quantized on the fly (the
+    /// hidden state changes every step) and widened to i16 once, so each
+    /// gate dot runs against the pre-widened weight mirrors.
+    fn gates_into(
+        lstm: &Lstm<QuantizedLinear>,
+        x: &[f32],
+        h_prev: &[f32],
+        z: &mut [f32],
+        s: &mut ScratchArena,
+    ) {
+        let (in_dim, hd) = (lstm.in_dim, lstm.hidden);
+        let (q_ih, q_hh) = (&lstm.w_ih, &lstm.w_hh);
+        let mut qx = s.take_i8(in_dim);
+        let mut qh = s.take_i8(hd);
+        let mut xw = s.take_i16(in_dim);
+        let mut hw = s.take_i16(hd);
+        let sx = quantize_row(x, &mut qx);
+        let sh = quantize_row(h_prev, &mut qh);
+        widen_i8_into(&qx, &mut xw);
+        widen_i8_into(&qh, &mut hw);
+        for (j, zv) in z.iter_mut().enumerate() {
+            let ih = dot_i16(&xw, &q_ih.qw16[j * in_dim..(j + 1) * in_dim]);
+            let hh = dot_i16(&hw, &q_hh.qw16[j * hd..(j + 1) * hd]);
+            *zv = lstm.b.w.data[j]
+                + ih as f32 * (sx * q_ih.scales[j])
+                + hh as f32 * (sh * q_hh.scales[j]);
+        }
+        s.give_i8(qx);
+        s.give_i8(qh);
+        s.give_i16(xw);
+        s.give_i16(hw);
+    }
 }
 
 impl Lstm {
@@ -54,17 +112,25 @@ impl Lstm {
         }
     }
 
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
+    /// Int8 snapshot: both gate matrices quantized per packed gate column.
+    pub fn quantized(&self) -> Lstm<QuantizedLinear> {
+        Lstm {
+            w_ih: QuantizedLinear::from_param(&self.w_ih),
+            w_hh: QuantizedLinear::from_param(&self.w_hh),
+            b: Param::new(self.b.w.clone()),
+            in_dim: self.in_dim,
+            hidden: self.hidden,
+            cache: Vec::new(),
+        }
     }
 
-    /// Packed gate pre-activations `z = b + x W_ih + h_prev W_hh`.
+    /// f32 gate pre-activations, shared by training and inference.
     ///
     /// The input-side saxpy keeps its zero-skip: delta-history features are
     /// sparse 0/1 bitmaps, so skipping zero inputs wins despite the branch.
     /// The recurrent side is dense after the first timestep and runs
     /// branch-free so it vectorizes.
-    fn gates_into(&self, x: &[f32], h_prev: &[f32], z: &mut [f32]) {
+    fn gates(&self, x: &[f32], h_prev: &[f32], z: &mut [f32]) {
         z.copy_from_slice(&self.b.w.data);
         for (k, &xv) in x.iter().enumerate() {
             if xv == 0.0 {
@@ -86,7 +152,7 @@ impl Lstm {
     fn step(&self, x: &[f32], h_prev: &[f32], c_prev: &[f32]) -> (StepCache, Vec<f32>, Vec<f32>) {
         let h = self.hidden;
         let mut z = vec![0.0; 4 * h];
-        self.gates_into(x, h_prev, &mut z);
+        self.gates(x, h_prev, &mut z);
         let mut i = vec![0.0; h];
         let mut f = vec![0.0; h];
         let mut g = vec![0.0; h];
@@ -133,92 +199,6 @@ impl Lstm {
             h = h_new;
             c = c_new;
         }
-        out
-    }
-
-    /// Inference without caching.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.in_dim);
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Matrix::zeros(x.rows, self.hidden);
-        for t in 0..x.rows {
-            let (_cache, h_new, c_new) = self.step(x.row(t), &h, &c);
-            out.row_mut(t).copy_from_slice(&h_new);
-            h = h_new;
-            c = c_new;
-        }
-        out
-    }
-
-    /// Inference through arena-owned buffers: the recurrence updates the
-    /// hidden and cell state in place, so the steady state allocates
-    /// nothing. Bit-identical to [`Lstm::infer`].
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        assert_eq!(x.cols, self.in_dim);
-        let hd = self.hidden;
-        let mut out = s.take(x.rows, hd);
-        let mut hm = s.take(1, hd);
-        let mut cm = s.take(1, hd);
-        let mut zm = s.take(1, 4 * hd);
-        for t in 0..x.rows {
-            // h_prev is fully folded into z before h is overwritten, and
-            // c[j] only reads its own slot, so in-place update is exact.
-            let (h_prev, z) = (&hm.data, &mut zm.data);
-            self.gates_into(x.row(t), h_prev, z);
-            for j in 0..hd {
-                let i = sigmoid(z[j]);
-                let f = sigmoid(z[hd + j]);
-                let g = z[2 * hd + j].tanh();
-                let o = sigmoid(z[3 * hd + j]);
-                let c = f * cm.data[j] + i * g;
-                cm.data[j] = c;
-                hm.data[j] = o * c.tanh();
-            }
-            out.row_mut(t).copy_from_slice(&hm.data);
-        }
-        s.give(hm);
-        s.give(cm);
-        s.give(zm);
-        out
-    }
-
-    /// Batched inference over `batch` stacked sequences (`x` is
-    /// `[batch * seq, in_dim]`, each sequence contiguous): every sequence
-    /// runs its own recurrence from zero state, advanced in lock-step so
-    /// the gate weights stream through cache once per timestep instead of
-    /// once per sequence. Bit-identical to per-sequence [`Lstm::infer_in`].
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        assert_eq!(x.cols, self.in_dim);
-        assert!(
-            batch > 0 && x.rows.is_multiple_of(batch),
-            "rows must tile by batch"
-        );
-        let seq = x.rows / batch;
-        let hd = self.hidden;
-        let mut out = s.take(x.rows, hd);
-        let mut hm = s.take(batch, hd);
-        let mut cm = s.take(batch, hd);
-        let mut zm = s.take(1, 4 * hd);
-        for t in 0..seq {
-            for b in 0..batch {
-                self.gates_into(x.row(b * seq + t), hm.row(b), &mut zm.data);
-                let z = &zm.data;
-                for j in 0..hd {
-                    let i = sigmoid(z[j]);
-                    let f = sigmoid(z[hd + j]);
-                    let g = z[2 * hd + j].tanh();
-                    let o = sigmoid(z[3 * hd + j]);
-                    let c = f * cm.at(b, j) + i * g;
-                    *cm.at_mut(b, j) = c;
-                    *hm.at_mut(b, j) = o * c.tanh();
-                }
-                out.row_mut(b * seq + t).copy_from_slice(hm.row(b));
-            }
-        }
-        s.give(hm);
-        s.give(cm);
-        s.give(zm);
         out
     }
 
@@ -291,6 +271,62 @@ impl Lstm {
     }
 }
 
+impl<W> Lstm<W> {
+    pub fn hidden_dim(&self) -> usize {
+        self.hidden
+    }
+}
+
+impl<W: LstmGates> Lstm<W> {
+    /// Inference over `batch` stacked sequences (`x` is
+    /// `[batch * seq, in_dim]`, each sequence contiguous; a single window
+    /// is `batch = 1`): every sequence runs its own recurrence from zero
+    /// state, advanced in lock-step so the gate weights stream through
+    /// cache once per timestep instead of once per sequence. The hidden
+    /// and cell state update in place (`h_prev` is fully folded into `z`
+    /// before `h` is overwritten, and `c[j]` only reads its own slot), so
+    /// the steady state allocates nothing.
+    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
+        assert_eq!(x.cols, self.in_dim);
+        assert!(
+            batch > 0 && x.rows.is_multiple_of(batch),
+            "rows must tile by batch"
+        );
+        let seq = x.rows / batch;
+        let hd = self.hidden;
+        let mut out = s.take(x.rows, hd);
+        let mut hm = s.take(batch, hd);
+        let mut cm = s.take(batch, hd);
+        let mut zm = s.take(1, 4 * hd);
+        for t in 0..seq {
+            for b in 0..batch {
+                W::gates_into(self, x.row(b * seq + t), hm.row(b), &mut zm.data, s);
+                let z = &zm.data;
+                for j in 0..hd {
+                    let i = sigmoid(z[j]);
+                    let f = sigmoid(z[hd + j]);
+                    let g = z[2 * hd + j].tanh();
+                    let o = sigmoid(z[3 * hd + j]);
+                    let c = f * cm.at(b, j) + i * g;
+                    *cm.at_mut(b, j) = c;
+                    *hm.at_mut(b, j) = o * c.tanh();
+                }
+                out.row_mut(b * seq + t).copy_from_slice(hm.row(b));
+            }
+        }
+        s.give(hm);
+        s.give(cm);
+        s.give(zm);
+        out
+    }
+}
+
+impl<W: Project> Lstm<W> {
+    pub fn storage_bytes(&self) -> usize {
+        self.w_ih.storage_bytes() + self.w_hh.storage_bytes() + 4 * self.b.len()
+    }
+}
+
 impl Module for Lstm {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.w_ih);
@@ -309,6 +345,11 @@ impl Module for Lstm {
 mod tests {
     use super::*;
     use crate::tensor::rng;
+    use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
+
+    fn infer(l: &Lstm, x: &Matrix) -> Matrix {
+        l.infer_batch_in(x, 1, &mut ScratchArena::new())
+    }
 
     #[test]
     fn forward_shapes_and_bounds() {
@@ -322,29 +363,33 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn inference_matches_training_forward() {
         let mut r = rng(2);
         let mut l = Lstm::new(4, 6, &mut r);
         let x = Matrix::xavier(5, 4, &mut r);
         let a = l.forward(&x);
-        let b = l.infer(&x);
-        assert_eq!(a, b);
+        assert_eq!(a, infer(&l, &x));
     }
 
     #[test]
-    fn arena_infer_matches_infer_bit_exactly() {
+    fn batched_rows_match_single_for_f32_and_int8() {
         let mut r = rng(8);
         let l = Lstm::new(4, 6, &mut r);
-        let x = Matrix::xavier(5, 4, &mut r);
-        let baseline = l.infer(&x);
-        let mut s = crate::arena::ScratchArena::new();
-        for _ in 0..3 {
-            let y = l.infer_in(&x, &mut s);
-            assert_eq!(y.data, baseline.data);
-            s.give(y);
-        }
-        let (_, misses) = s.stats();
-        assert_eq!(misses, 4, "only the warmup round may allocate");
+        let ql = l.quantized();
+        assert_batch_rows_match_single(5, 4, 30, |x, b, s| l.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 4, 31, |x, b, s| ql.infer_batch_in(x, b, s));
+    }
+
+    #[test]
+    fn int8_snapshot_tracks_f32() {
+        let mut r = rng(33);
+        let l = Lstm::new(12, 16, &mut r);
+        let x = Matrix::xavier(9, 12, &mut r);
+        let mut s = ScratchArena::new();
+        let exact = l.infer_batch_in(&x, 1, &mut s);
+        let quant = l.quantized().infer_batch_in(&x, 1, &mut s);
+        let diff = max_abs_diff(&exact.data, &quant.data);
+        assert!(diff < 0.05 && diff > 0.0, "diff {diff}");
     }
 
     #[test]
@@ -368,7 +413,7 @@ mod tests {
         let dx = l.backward(&w);
         let eps = 1e-2f32;
         let loss = |m: &Matrix| -> f32 {
-            l.infer(m)
+            infer(&l, m)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -399,7 +444,7 @@ mod tests {
         let _ = l.backward(&w);
         let eps = 1e-2f32;
         let loss = |m: &Lstm| -> f32 {
-            m.infer(&x)
+            infer(m, &x)
                 .data
                 .iter()
                 .zip(w.data.iter())

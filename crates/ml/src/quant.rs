@@ -23,7 +23,7 @@
 //! tolerance).
 
 use crate::arena::ScratchArena;
-use crate::layers::{Linear, Module, Param};
+use crate::layers::{Linear, Module, Param, Project};
 use crate::tensor::Matrix;
 
 /// Symmetric quantization scale for a tensor with magnitude `max`, with the
@@ -425,6 +425,12 @@ impl QuantizedLinear {
         Self::from_weight(&l.w.w, Some(&l.b.w.data))
     }
 
+    /// Quantizes a bias-free projection `Param` (e.g. an attention Q/K/V
+    /// weight).
+    pub fn from_param(p: &Param) -> Self {
+        Self::from_weight(&p.w, None)
+    }
+
     /// Quantizes a bare weight matrix `[in, out]` (e.g. an attention
     /// projection `Param`), transposing into channel-major layout.
     pub fn from_weight(w: &Matrix, bias: Option<&[f32]>) -> Self {
@@ -515,6 +521,16 @@ impl QuantizedLinear {
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut s = ScratchArena::new();
         self.infer_in(x, &mut s)
+    }
+}
+
+impl Project for QuantizedLinear {
+    fn project_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+        self.infer_in(x, s)
+    }
+
+    fn storage_bytes(&self) -> usize {
+        QuantizedLinear::storage_bytes(self)
     }
 }
 

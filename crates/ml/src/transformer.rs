@@ -5,15 +5,18 @@
 
 use crate::arena::ScratchArena;
 use crate::attention::MultiHeadAttention;
-use crate::layers::{LayerNorm, Linear, Module, Param, Relu};
+use crate::layers::{LayerNorm, Linear, Module, Param, Project, Relu};
+use crate::quant::QuantizedLinear;
 use crate::tensor::Matrix;
 use rand_chacha::ChaCha8Rng;
 
 /// Point-wise feed-forward network `FFN(x) = max(0, x W1 + b1) W2 + b2`.
+/// `L` is the dense-layer weight type ([`Linear`], or [`QuantizedLinear`]
+/// in the int8 snapshot).
 #[derive(Debug, Clone)]
-pub struct FeedForward {
-    pub fc1: Linear,
-    pub fc2: Linear,
+pub struct FeedForward<L = Linear> {
+    pub fc1: L,
+    pub fc2: L,
     relu: Relu,
 }
 
@@ -26,29 +29,40 @@ impl FeedForward {
         }
     }
 
+    pub fn quantized(&self) -> FeedForward<QuantizedLinear> {
+        FeedForward {
+            fc1: QuantizedLinear::from_linear(&self.fc1),
+            fc2: QuantizedLinear::from_linear(&self.fc2),
+            relu: Relu::default(),
+        }
+    }
+
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let h = self.fc1.forward(x);
         let h = self.relu.forward(&h);
         self.fc2.forward(&h)
     }
 
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fc2.infer(&Relu::infer(&self.fc1.infer(x)))
-    }
-
-    /// Inference-only forward through arena-owned scratch buffers.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let mut h = self.fc1.infer_in(x, s);
-        Relu::infer_inplace(&mut h);
-        let y = self.fc2.infer_in(&h, s);
-        s.give(h);
-        y
-    }
-
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let dh = self.fc2.backward(dy);
         let dh = self.relu.backward(&dh);
         self.fc1.backward(&dh)
+    }
+}
+
+impl<L: Project> FeedForward<L> {
+    pub fn storage_bytes(&self) -> usize {
+        self.fc1.storage_bytes() + self.fc2.storage_bytes()
+    }
+
+    /// Inference through arena-owned scratch. Row-wise, so any stack of
+    /// sequences runs as one product.
+    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
+        let mut h = self.fc1.project_in(x, s);
+        Relu::infer_inplace(&mut h);
+        let y = self.fc2.project_in(&h, s);
+        s.give(h);
+        y
     }
 }
 
@@ -65,11 +79,13 @@ impl Module for FeedForward {
 }
 
 /// One Transformer encoder layer:
-/// `y = LN2(h + FFN(h))`, `h = LN1(x + MSA(x))`.
+/// `y = LN2(h + FFN(h))`, `h = LN1(x + MSA(x))`. `P` is the attention
+/// projection weight type, `L` the FFN's dense-layer type; the layer norms
+/// stay f32 in either instantiation.
 #[derive(Debug, Clone)]
-pub struct TransformerLayer {
-    pub msa: MultiHeadAttention,
-    pub ffn: FeedForward,
+pub struct TransformerLayer<P = Param, L = Linear> {
+    pub msa: MultiHeadAttention<P>,
+    pub ffn: FeedForward<L>,
     pub ln1: LayerNorm,
     pub ln2: LayerNorm,
 }
@@ -85,6 +101,17 @@ impl TransformerLayer {
         }
     }
 
+    /// Int8 snapshot. The layer norms keep their f32 gain/bias (vectors,
+    /// not matrices — quantizing them saves nothing and costs accuracy).
+    pub fn quantized(&self) -> TransformerLayer<QuantizedLinear, QuantizedLinear> {
+        TransformerLayer {
+            msa: self.msa.quantized(),
+            ffn: self.ffn.quantized(),
+            ln1: self.ln1.clone(),
+            ln2: self.ln2.clone(),
+        }
+    }
+
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut h = self.msa.forward(x);
         h.add_assign(x);
@@ -92,43 +119,6 @@ impl TransformerLayer {
         let mut y = self.ffn.forward(&h);
         y.add_assign(&h);
         self.ln2.forward(&y)
-    }
-
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = self.msa.infer(x);
-        h.add_assign(x);
-        let h = self.ln1.infer(&h);
-        let mut y = self.ffn.infer(&h);
-        y.add_assign(&h);
-        self.ln2.infer(&y)
-    }
-
-    /// Inference-only forward through arena-owned scratch buffers.
-    pub fn infer_in(&self, x: &Matrix, s: &mut ScratchArena) -> Matrix {
-        let mut h = self.msa.infer_in(x, s);
-        h.add_assign(x);
-        self.ln1.infer_inplace(&mut h);
-        let mut y = self.ffn.infer_in(&h, s);
-        y.add_assign(&h);
-        self.ln2.infer_inplace(&mut y);
-        s.give(h);
-        y
-    }
-
-    /// Batched inference over `batch` stacked sequences: attention is
-    /// confined per sequence (see
-    /// [`MultiHeadAttention::infer_batch_in`]); the FFN and layer norms
-    /// are row-wise, so they fuse across the whole stack for free.
-    /// Bit-identical to per-sequence [`TransformerLayer::infer_in`].
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        let mut h = self.msa.infer_batch_in(x, batch, s);
-        h.add_assign(x);
-        self.ln1.infer_inplace(&mut h);
-        let mut y = self.ffn.infer_in(&h, s);
-        y.add_assign(&h);
-        self.ln2.infer_inplace(&mut y);
-        s.give(h);
-        y
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
@@ -141,6 +131,28 @@ impl TransformerLayer {
         let mut dx = self.msa.backward(&d);
         dx.add_assign(&d);
         dx
+    }
+}
+
+impl<P: Project, L: Project> TransformerLayer<P, L> {
+    pub fn storage_bytes(&self) -> usize {
+        // LayerNorm gain/bias stay f32: 2 vectors × 2 norms × 4 bytes.
+        let ln = 2 * 2 * 4 * self.ln1.gamma.w.cols;
+        self.msa.storage_bytes() + self.ffn.storage_bytes() + ln
+    }
+
+    /// Inference over `batch` stacked sequences: attention is confined per
+    /// sequence (see [`MultiHeadAttention::infer_batch_in`]); the FFN and
+    /// layer norms are row-wise, so they fuse across the whole stack.
+    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
+        let mut h = self.msa.infer_batch_in(x, batch, s);
+        h.add_assign(x);
+        self.ln1.infer_inplace(&mut h);
+        let mut y = self.ffn.infer_in(&h, s);
+        y.add_assign(&h);
+        self.ln2.infer_inplace(&mut y);
+        s.give(h);
+        y
     }
 }
 
@@ -164,6 +176,11 @@ impl Module for TransformerLayer {
 mod tests {
     use super::*;
     use crate::tensor::rng;
+    use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
+
+    fn infer(t: &TransformerLayer, x: &Matrix) -> Matrix {
+        t.infer_batch_in(x, 1, &mut ScratchArena::new())
+    }
 
     #[test]
     fn feed_forward_shapes() {
@@ -197,7 +214,7 @@ mod tests {
         let _ = t.forward(&x);
         let dx = t.backward(&w);
         let loss = |m: &Matrix| -> f32 {
-            t.infer(m)
+            infer(&t, m)
                 .data
                 .iter()
                 .zip(w.data.iter())
@@ -220,38 +237,49 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn inference_tracks_training_forward() {
         let mut r = rng(4);
         let mut t = TransformerLayer::new(8, 4, &mut r);
+        let mut ffn = FeedForward::new(8, 16, &mut r);
         let x = Matrix::xavier(3, 8, &mut r);
         let a = t.forward(&x);
-        let b = t.infer(&x);
-        for (p, q) in a.data.iter().zip(b.data.iter()) {
-            assert!((p - q).abs() < 1e-6);
-        }
+        assert!(max_abs_diff(&a.data, &infer(&t, &x).data) < 1e-6);
+        let a = ffn.forward(&x);
+        let b = ffn.infer_in(&x, &mut ScratchArena::new());
+        assert!(max_abs_diff(&a.data, &b.data) < 1e-6);
     }
 
     #[test]
-    fn arena_infer_is_bit_identical_and_allocation_free() {
+    fn batched_rows_match_single_for_f32_and_int8() {
         let mut r = rng(7);
-        let t = TransformerLayer::new(8, 4, &mut r);
-        let x = Matrix::xavier(3, 8, &mut r);
-        let baseline = t.infer(&x);
-        let mut s = crate::arena::ScratchArena::new();
-        // Warmup round.
-        let w = t.infer_in(&x, &mut s);
-        assert_eq!(w.data, baseline.data, "arena path must be bit-identical");
-        s.give(w);
-        let (_, misses_after_warmup) = s.stats();
-        for _ in 0..5 {
-            let y = t.infer_in(&x, &mut s);
-            assert_eq!(y.data, baseline.data);
-            s.give(y);
-        }
-        let (_, misses) = s.stats();
-        assert_eq!(
-            misses, misses_after_warmup,
-            "steady state must not allocate"
+        let t = TransformerLayer::new(8, 2, &mut r);
+        let qt = t.quantized();
+        let ffn = FeedForward::new(8, 16, &mut r);
+        let qffn = ffn.quantized();
+        assert_batch_rows_match_single(5, 8, 20, |x, b, s| t.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 21, |x, b, s| qt.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 22, |x, _, s| ffn.infer_in(x, s));
+        assert_batch_rows_match_single(5, 8, 23, |x, _, s| qffn.infer_in(x, s));
+    }
+
+    #[test]
+    fn int8_snapshot_tracks_f32_and_shrinks() {
+        let mut r = rng(32);
+        let t = TransformerLayer::new(16, 4, &mut r);
+        let qt = t.quantized();
+        let x = Matrix::xavier(9, 16, &mut r);
+        let mut s = ScratchArena::new();
+        let exact = t.infer_batch_in(&x, 1, &mut s);
+        let quant = qt.infer_batch_in(&x, 1, &mut s);
+        // Post-LN activations are O(1); the residual+LN structure keeps
+        // quantization error from compounding.
+        let diff = max_abs_diff(&exact.data, &quant.data);
+        assert!(diff < 0.35 && diff > 0.0, "diff {diff}");
+        let f32_bytes = t.num_params() * 4;
+        assert!(
+            qt.storage_bytes() * 3 < f32_bytes * 2,
+            "{} vs {f32_bytes}",
+            qt.storage_bytes()
         );
     }
 
@@ -270,7 +298,7 @@ mod tests {
             let mut xm = x.clone();
             xm.data[i] -= eps;
             let f = |m: &Matrix| -> f32 {
-                ffn.infer(m)
+                ffn.infer_in(m, &mut ScratchArena::new())
                     .data
                     .iter()
                     .zip(w.data.iter())

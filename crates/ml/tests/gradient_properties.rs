@@ -7,7 +7,7 @@ use mpgraph_ml::layers::{LayerNorm, Linear, Sigmoid};
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::transformer::TransformerLayer;
-use mpgraph_ml::SelfAttention;
+use mpgraph_ml::{ScratchArena, SelfAttention};
 use proptest::prelude::*;
 
 /// L = sum(f(x) ⊙ w); returns |numeric - analytic| max over sampled coords.
@@ -94,7 +94,7 @@ proptest! {
         let _ = a.forward(&x);
         let dx = a.backward(&w);
         let coords: Vec<usize> = (0..x.data.len()).step_by(2).collect();
-        let worst = check(&x, &w, &dx, |m| a.infer(m), &coords);
+        let worst = check(&x, &w, &dx, |m| a.infer_batch_in(m, 1, &mut ScratchArena::new()), &coords);
         prop_assert!(worst < 5e-2, "worst {}", worst);
     }
 
@@ -107,7 +107,7 @@ proptest! {
         let _ = l.forward(&x);
         let dx = l.backward(&w);
         let coords: Vec<usize> = (0..x.data.len()).collect();
-        let worst = check(&x, &w, &dx, |m| l.infer(m), &coords);
+        let worst = check(&x, &w, &dx, |m| l.infer_batch_in(m, 1, &mut ScratchArena::new()), &coords);
         prop_assert!(worst < 3e-2, "worst {}", worst);
     }
 
@@ -125,7 +125,7 @@ proptest! {
         let dx = t.backward(&w);
         let eps = 1e-2f32;
         let loss = |m: &Matrix| -> f32 {
-            t.infer(m).data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
+            t.infer_batch_in(m, 1, &mut ScratchArena::new()).data.iter().zip(w.data.iter()).map(|(a, b)| a * b).sum()
         };
         let mut numeric = vec![0.0f32; x.data.len()];
         for (i, n) in numeric.iter_mut().enumerate() {

@@ -10,6 +10,7 @@ use mpgraph_ml::loss::softmax_cross_entropy;
 use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
+use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{LlcAccess, Prefetcher};
 
 /// Shared training hyper-parameters for all ML prefetchers in this crate.
@@ -144,7 +145,7 @@ impl DeltaLstm {
     /// confidence threshold) for a delta-class history.
     fn predict(&self, hist: &[usize], k: usize) -> Vec<usize> {
         let x = self.embed.infer(hist);
-        let h = self.lstm.infer(&x);
+        let h = self.lstm.infer_batch_in(&x, 1, &mut ScratchArena::new());
         let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
         let probs = self.head.infer(&last).softmax_rows();
         mpgraph_ml::metrics::top_k_indices(probs.row(0), k)

@@ -12,6 +12,7 @@ use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::transformer::TransformerLayer;
+use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{LlcAccess, Prefetcher};
 
 /// TransFetch model dimensions.
@@ -123,8 +124,9 @@ impl TransFetch {
     fn infer_logits(&self, hist: &[(u64, u64)]) -> Matrix {
         let x = Self::encode(&self.cfg, hist);
         let mut h = self.embed.infer(&x);
+        let mut s = ScratchArena::new();
         for b in &self.blocks {
-            h = b.infer(&h);
+            h = b.infer_batch_in(&h, 1, &mut s);
         }
         let mut pooled = Matrix::zeros(1, h.cols);
         for r in 0..h.rows {

@@ -19,6 +19,7 @@ use mpgraph_ml::lstm::Lstm;
 use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
+use mpgraph_ml::ScratchArena;
 use mpgraph_sim::{LlcAccess, Prefetcher, BLOCK_BITS};
 
 /// Voyager model dimensions (scaled-down per DESIGN.md §5).
@@ -218,8 +219,13 @@ impl Voyager {
         let t = hist.len();
         let ptoks: Vec<usize> = hist.iter().map(|&(p, _)| p).collect();
         let otoks: Vec<usize> = hist.iter().map(|&(_, o)| o).collect();
-        let ph = self.page_lstm.infer(&self.page_embed.infer(&ptoks));
-        let oh = self.offset_lstm.infer(&self.offset_embed.infer(&otoks));
+        let mut s = ScratchArena::new();
+        let ph = self
+            .page_lstm
+            .infer_batch_in(&self.page_embed.infer(&ptoks), 1, &mut s);
+        let oh = self
+            .offset_lstm
+            .infer_batch_in(&self.offset_embed.infer(&otoks), 1, &mut s);
         let p_last = Matrix::from_vec(1, ph.cols, ph.row(t - 1).to_vec());
         let o_last = Matrix::from_vec(1, oh.cols, oh.row(t - 1).to_vec());
         let mut scores = ph.matmul_bt(&o_last).transpose();

@@ -51,13 +51,6 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
 }
 
 /// Set-associative cache operating on *block addresses* (byte address / 64).

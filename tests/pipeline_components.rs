@@ -9,6 +9,7 @@ use mpgraph::core::{
 };
 use mpgraph::frameworks::{generate_trace, io, App, Framework, TraceConfig};
 use mpgraph::graph::{rmat, RmatConfig};
+use mpgraph::ml::{ScratchArena, Sigmoid};
 use mpgraph::prefetchers::TrainCfg;
 use mpgraph::sim::{llc_filter, simulate, NullPrefetcher};
 
@@ -167,8 +168,9 @@ fn distillation_pipeline_runs_on_framework_trace() {
     assert!(after < before);
     // Quantized student still produces bounded predictions.
     let hist: Vec<(u64, u64)> = train[..5].iter().map(|r| (r.block(), r.pc)).collect();
-    let scores = student.predict_scores(&hist, 0);
-    assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
+    let mut scores = student.predict_logits_in(&hist, 0, &mut ScratchArena::new());
+    Sigmoid::infer_inplace(&mut scores);
+    assert!(scores.data.iter().all(|s| (0.0..=1.0).contains(s)));
 }
 
 #[test]
