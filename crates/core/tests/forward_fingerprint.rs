@@ -12,7 +12,9 @@
 //! B = 1 and B = 5, and small trained delta and page predictors on the
 //! f32 and int8 paths through `predict_logits_in` (raw logits bits),
 //! `predict_deltas_in` / `predict_pages_in`, and the B = 5 batch entry
-//! points (full score rankings).
+//! points (full score rankings). Two-layer AMMA, AMMA-PI and Attention
+//! backbones (f32 and int8) and a trained two-layer AMMA delta predictor
+//! pin the stacks where a non-final transformer layer feeds the final one.
 //!
 //! The constants were recorded on x86_64 Linux. `exp`/`tanh` come from
 //! the platform libm, so other targets may differ in the last ulp; the
@@ -61,11 +63,15 @@ impl Fnv {
 }
 
 fn cfg() -> AmmaConfig {
+    cfg_layers(1)
+}
+
+fn cfg_layers(layers: usize) -> AmmaConfig {
     AmmaConfig {
         history: 5,
         attn_dim: 8,
         fusion_dim: 16,
-        layers: 1,
+        layers,
         heads: 2,
     }
 }
@@ -119,9 +125,9 @@ fn stacked(seed: u64, batch: usize, t: usize) -> ModalInput {
     }
 }
 
-fn backbone(kind: BackboneKind, phase_informed: bool, seed: u64) -> Backbone {
+fn backbone(kind: BackboneKind, phase_informed: bool, layers: usize, seed: u64) -> Backbone {
     let mut r = rng(seed);
-    let b = Backbone::new(kind, 3, 1, cfg(), &mut r);
+    let b = Backbone::new(kind, 3, 1, cfg_layers(layers), &mut r);
     if phase_informed {
         b.with_phase_embedding(3, &mut r)
     } else {
@@ -129,19 +135,39 @@ fn backbone(kind: BackboneKind, phase_informed: bool, seed: u64) -> Backbone {
     }
 }
 
-fn backbone_fingerprint(kind: BackboneKind, phase_informed: bool) -> u64 {
-    let b = backbone(kind, phase_informed, 17);
+/// Hashes one backbone forward over B = 1 and B = 5 stacks, three phases.
+fn hash_forwards(infer: impl Fn(&ModalInput, usize, usize, &mut ScratchArena) -> Matrix) -> u64 {
     let mut h = Fnv::new();
     let mut s = ScratchArena::new();
     for batch in [1usize, 5] {
         let x = stacked(100 + batch as u64, batch, 5);
         for phase in 0..3 {
-            let y = b.infer_batch_in(&x, batch, phase, &mut s);
+            let y = infer(&x, batch, phase, &mut s);
             h.matrix(&y);
             s.give(y);
         }
     }
     h.0
+}
+
+fn backbone_fingerprint(kind: BackboneKind, phase_informed: bool) -> u64 {
+    let b = backbone(kind, phase_informed, 1, 17);
+    hash_forwards(|x, n, p, s| b.infer_batch_in(x, n, p, s))
+}
+
+/// `(f32, int8)` hashes of a backbone built with `layers` transformer
+/// layers.
+fn layered_backbone_fingerprint(
+    kind: BackboneKind,
+    phase_informed: bool,
+    layers: usize,
+) -> (u64, u64) {
+    let b = backbone(kind, phase_informed, layers, 23);
+    let q = b.quantized();
+    (
+        hash_forwards(|x, n, p, s| b.infer_batch_in(x, n, p, s)),
+        hash_forwards(|x, n, p, s| q.infer_batch_in(x, n, p, s)),
+    )
 }
 
 /// Five distinct delta windows from the trace.
@@ -157,9 +183,13 @@ fn delta_windows(tr: &[MemRecord]) -> Vec<Vec<(u64, u64)>> {
 }
 
 fn delta_fingerprint(variant: Variant) -> (u64, u64) {
+    delta_fingerprint_layers(variant, 1)
+}
+
+fn delta_fingerprint_layers(variant: Variant, layers: usize) -> (u64, u64) {
     let tr = trace();
     let dcfg = DeltaPredictorConfig {
-        amma: cfg(),
+        amma: cfg_layers(layers),
         segments: 6,
         delta_range: 15,
         look_forward: 8,
@@ -285,4 +315,23 @@ fn page_predictor_forwards_match_golden_bits() {
         (0xdf25_4a6d_9f17_40a8, 0xb504_0980_e6eb_ef6a),
     ];
     assert_eq!(got, want, "page predictor bits drifted: {got:#x?}");
+}
+
+#[test]
+fn two_layer_forwards_match_golden_bits() {
+    // The Attention backbone always stacks two layers; `layers` sizes the
+    // AMMA transformer stack.
+    let got = [
+        layered_backbone_fingerprint(BackboneKind::Attention, false, 2),
+        layered_backbone_fingerprint(BackboneKind::Amma, false, 2),
+        layered_backbone_fingerprint(BackboneKind::Amma, true, 2),
+        delta_fingerprint_layers(Variant::Amma, 2),
+    ];
+    let want: [(u64, u64); 4] = [
+        (0xd30d_9268_ef35_a85f, 0x91d6_3620_a7cb_39e7),
+        (0x1ff9_506d_b797_6528, 0xb899_d7a5_7708_f500),
+        (0x7396_c43f_4f3a_c344, 0x8071_562e_77bd_a075),
+        (0x7177_305d_973b_e4a5, 0x795e_6885_104e_9c8d),
+    ];
+    assert_eq!(got, want, "two-layer forward bits drifted: {got:#x?}");
 }
