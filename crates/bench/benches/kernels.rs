@@ -149,7 +149,7 @@ fn bench_attention(c: &mut Criterion) {
     let attn = SelfAttention::new(64, 64, &mut r);
     let x = Matrix::xavier(9, 64, &mut r);
     c.bench_function("self_attention_forward_9x64", |b| {
-        b.iter(|| black_box(attn.infer_batch_in(&x, 1, &mut ScratchArena::new())))
+        b.iter(|| black_box(attn.infer_batch_in(&x, &x, 1, &mut ScratchArena::new())))
     });
     let amma = Amma::new(9, 1, AmmaConfig::default(), &mut r);
     let input = ModalInput {

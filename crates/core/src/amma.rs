@@ -11,8 +11,10 @@
 //!    dim 128);
 //! 3. `L` **Transformer layers** (Eq. 9-10, one layer, 4 heads, dim 128)
 //!    refine the fused sequence;
-//! 4. mean-pooling produces the sequence representation consumed by the
-//!    task head (MLP + sigmoid or softmax).
+//! 4. the last position's row is the sequence representation consumed by
+//!    the task head (MLP + sigmoid or softmax). The final Transformer layer
+//!    computes only that row, as a query over keys and values from every
+//!    position ([`mpgraph_ml::transformer::readout_infer_batch_in`]).
 //!
 //! Default dimensions here are half of Table 5's (attention 32, fusion 64)
 //! so that the full per-phase × per-app training sweeps finish on a CPU in
@@ -24,7 +26,9 @@ use mpgraph_ml::attention::SelfAttention;
 use mpgraph_ml::layers::{Embedding, Linear, Module, Param, Project};
 use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
-use mpgraph_ml::transformer::TransformerLayer;
+use mpgraph_ml::transformer::{
+    readout_backward, readout_forward, readout_infer_batch_in, TransformerLayer,
+};
 use rand_chacha::ChaCha8Rng;
 
 /// AMMA dimensions (Table 5).
@@ -105,12 +109,12 @@ pub struct Amma<P = Param, L = Linear> {
     /// Optional phase-informed side input (AMMA-PI): one embedding per
     /// phase, added to the fused representation after the MMAF layer.
     phase_embed: Option<Embedding>,
-    cache_rows: usize,
 }
 
 impl Amma {
     pub fn new(addr_feats: usize, pc_feats: usize, cfg: AmmaConfig, rng: &mut ChaCha8Rng) -> Self {
         assert_eq!(cfg.fusion_dim, 2 * cfg.attn_dim, "fusion = 2 × attention");
+        assert!(cfg.layers > 0, "the readout needs a transformer layer");
         Amma {
             embed_addr: Linear::new(addr_feats, cfg.attn_dim, rng),
             embed_pc: Linear::new(pc_feats, cfg.attn_dim, rng),
@@ -121,7 +125,6 @@ impl Amma {
                 .map(|_| TransformerLayer::new(cfg.fusion_dim, cfg.heads, rng))
                 .collect(),
             phase_embed: None,
-            cache_rows: 0,
             cfg,
         }
     }
@@ -144,7 +147,6 @@ impl Amma {
             fusion: self.fusion.quantized(),
             trans: self.trans.iter().map(TransformerLayer::quantized).collect(),
             phase_embed: self.phase_embed.clone(),
-            cache_rows: 0,
         }
     }
 
@@ -176,7 +178,6 @@ impl Amma {
     /// whole history, and mean pooling would dilute it). `phase` is
     /// consumed only by the phase-informed variant.
     pub fn forward(&mut self, x: &ModalInput, phase: usize) -> Matrix {
-        self.cache_rows = x.addr.rows;
         let pe = mpgraph_ml::tensor::positional_encoding(x.addr.rows, self.cfg.attn_dim);
         let mut ea = self.embed_addr.forward(&x.addr);
         ea.add_assign(&pe);
@@ -185,35 +186,26 @@ impl Amma {
         // Residual connections around each attention keep a direct path
         // from the embeddings to the readout (gradient flow; standard
         // practice even where Figure 7 leaves it implicit).
-        let mut ha = self.attn_addr.forward(&ea);
+        let mut ha = self.attn_addr.forward(&ea, &ea);
         ha.add_assign(&ea);
-        let mut hp = self.attn_pc.forward(&ep);
+        let mut hp = self.attn_pc.forward(&ep, &ep);
         hp.add_assign(&ep);
         let fused_in = Self::fuse(&ha, &hp);
-        let mut h = self.fusion.forward(&fused_in);
+        let mut h = self.fusion.forward(&fused_in, &fused_in);
         h.add_assign(&fused_in);
         if let Some(pe) = &mut self.phase_embed {
             let e = pe.forward(&vec![phase; h.rows]);
             h.add_assign(&e);
         }
-        for t in self.trans.iter_mut() {
-            h = t.forward(&h);
-        }
-        Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
+        readout_forward(&mut self.trans, h)
     }
 
     /// Backward from the pooled gradient `[1, fusion_dim]`. Returns the
     /// gradients w.r.t. the two modality inputs `(d_addr, d_pc)` so that
     /// upstream embeddings (the page tokenizer) can train through AMMA.
     pub fn backward(&mut self, d_pooled: &Matrix) -> (Matrix, Matrix) {
-        let rows = self.cache_rows;
-        let dim = self.cfg.fusion_dim;
         // Last-position readout: the gradient enters at the final row only.
-        let mut dh = Matrix::zeros(rows, dim);
-        dh.row_mut(rows - 1).copy_from_slice(d_pooled.row(0));
-        for t in self.trans.iter_mut().rev() {
-            dh = t.backward(&dh);
-        }
+        let dh = readout_backward(&mut self.trans, d_pooled);
         if let Some(pe) = &mut self.phase_embed {
             pe.backward(&dh);
         }
@@ -283,10 +275,10 @@ impl<P: Project, L: Project> Amma<P, L> {
         s.add_positional_per_seq(&mut ea, seq);
         let mut ep = self.embed_pc.project_in(&x.pc, s);
         s.add_positional_per_seq(&mut ep, seq);
-        let mut ha = self.attn_addr.infer_batch_in(&ea, batch, s);
+        let mut ha = self.attn_addr.infer_batch_in(&ea, &ea, batch, s);
         ha.add_assign(&ea);
         s.give(ea);
-        let mut hp = self.attn_pc.infer_batch_in(&ep, batch, s);
+        let mut hp = self.attn_pc.infer_batch_in(&ep, &ep, batch, s);
         hp.add_assign(&ep);
         s.give(ep);
         let mut fused_in = s.take(ha.rows, ha.cols + hp.cols);
@@ -297,7 +289,7 @@ impl<P: Project, L: Project> Amma<P, L> {
         }
         s.give(ha);
         s.give(hp);
-        let mut h = self.fusion.infer_batch_in(&fused_in, batch, s);
+        let mut h = self.fusion.infer_batch_in(&fused_in, &fused_in, batch, s);
         h.add_assign(&fused_in);
         s.give(fused_in);
         if let Some(pe) = &self.phase_embed {
@@ -305,17 +297,7 @@ impl<P: Project, L: Project> Amma<P, L> {
             // without materializing it.
             pe.add_row_broadcast(phase, &mut h);
         }
-        for t in &self.trans {
-            let h2 = t.infer_batch_in(&h, batch, s);
-            s.give(h);
-            h = h2;
-        }
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
-        }
-        s.give(h);
-        pooled
+        readout_infer_batch_in(&self.trans, h, batch, s)
     }
 }
 

@@ -9,7 +9,9 @@ use mpgraph_ml::layers::{Embedding, Linear, Module, Param, Project};
 use mpgraph_ml::lstm::{Lstm, LstmGates};
 use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
-use mpgraph_ml::transformer::TransformerLayer;
+use mpgraph_ml::transformer::{
+    readout_backward, readout_forward, readout_infer_batch_in, TransformerLayer,
+};
 use rand_chacha::ChaCha8Rng;
 
 /// Which sequence model extracts features.
@@ -51,7 +53,6 @@ pub enum Backbone<P = Param, L = Linear> {
         proj: L,
         layers: Vec<TransformerLayer<P, L>>,
         dim: usize,
-        cache_rows: usize,
         pc_feats: usize,
     },
     Amma(Box<Amma<P, L>>),
@@ -77,7 +78,6 @@ impl Backbone {
                     .map(|_| TransformerLayer::new(cfg.fusion_dim, cfg.heads, rng))
                     .collect(),
                 dim: cfg.fusion_dim,
-                cache_rows: 0,
                 pc_feats,
             },
             BackboneKind::Amma => {
@@ -111,13 +111,11 @@ impl Backbone {
                 proj,
                 layers,
                 dim,
-                cache_rows,
                 pc_feats,
             } => Backbone::Attention {
                 proj: QuantizedLinear::from_linear(proj),
                 layers: layers.iter().map(TransformerLayer::quantized).collect(),
                 dim: *dim,
-                cache_rows: *cache_rows,
                 pc_feats: *pc_feats,
             },
             Backbone::Amma(a) => Backbone::Amma(Box::new(a.quantized())),
@@ -143,19 +141,10 @@ impl Backbone {
                 let h = lstm.forward(&Self::concat(x));
                 Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
             }
-            Backbone::Attention {
-                proj,
-                layers,
-                cache_rows,
-                ..
-            } => {
-                *cache_rows = x.addr.rows;
+            Backbone::Attention { proj, layers, .. } => {
                 let mut h = proj.forward(&Self::concat(x));
                 h.add_assign(&mpgraph_ml::tensor::positional_encoding(h.rows, h.cols));
-                for l in layers.iter_mut() {
-                    h = l.forward(&h);
-                }
-                Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec())
+                readout_forward(layers, h)
             }
             Backbone::Amma(a) => a.forward(x, phase),
         }
@@ -179,16 +168,10 @@ impl Backbone {
             Backbone::Attention {
                 proj,
                 layers,
-                cache_rows,
-                dim,
                 pc_feats,
+                ..
             } => {
-                let rows = *cache_rows;
-                let mut dh = Matrix::zeros(rows, *dim);
-                dh.row_mut(rows - 1).copy_from_slice(d_out.row(0));
-                for l in layers.iter_mut().rev() {
-                    dh = l.backward(&dh);
-                }
+                let dh = readout_backward(layers, d_out);
                 let dx = proj.backward(&dh);
                 Self::split_concat(&dx, *pc_feats)
             }
@@ -250,35 +233,24 @@ impl<P: Project + LstmGates, L: Project> Backbone<P, L> {
             batch > 0 && x.addr.rows.is_multiple_of(batch),
             "rows must tile by batch"
         );
-        let seq = x.addr.rows / batch;
-        let h = match self {
+        match self {
             Backbone::Lstm { lstm, .. } => {
                 let cat = concat_in(x, s);
                 let h = lstm.infer_batch_in(&cat, batch, s);
                 s.give(cat);
-                h
+                let pooled = s.last_rows(&h, batch);
+                s.give(h);
+                pooled
             }
             Backbone::Attention { proj, layers, .. } => {
                 let cat = concat_in(x, s);
                 let mut h = proj.project_in(&cat, s);
                 s.give(cat);
-                s.add_positional_per_seq(&mut h, seq);
-                for l in layers {
-                    let h2 = l.infer_batch_in(&h, batch, s);
-                    s.give(h);
-                    h = h2;
-                }
-                h
+                s.add_positional_per_seq(&mut h, x.addr.rows / batch);
+                readout_infer_batch_in(layers, h, batch, s)
             }
-            Backbone::Amma(a) => return a.infer_batch_in(x, batch, phase, s),
-        };
-        // Last-position readout of each sequence.
-        let mut pooled = s.take(batch, h.cols);
-        for b in 0..batch {
-            pooled.row_mut(b).copy_from_slice(h.row((b + 1) * seq - 1));
+            Backbone::Amma(a) => a.infer_batch_in(x, batch, phase, s),
         }
-        s.give(h);
-        pooled
     }
 }
 

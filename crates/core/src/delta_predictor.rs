@@ -509,6 +509,15 @@ impl DeltaPredictor {
         multilabel_f1(&preds, &targs)
     }
 
+    /// Frees every phase model's gradients and Adam moments once training
+    /// is over ([`Module::finish_training`]); inference is unaffected.
+    pub fn finish_training(&mut self) {
+        for (b, h) in &mut self.models {
+            b.finish_training();
+            h.finish_training();
+        }
+    }
+
     /// Total trainable parameters across all phase models (Table 8).
     pub fn num_params(&self) -> usize {
         self.models

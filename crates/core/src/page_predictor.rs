@@ -590,6 +590,16 @@ impl PagePredictor {
         self.bits
     }
 
+    /// Frees every phase model's gradients and Adam moments once training
+    /// is over ([`Module::finish_training`]); inference is unaffected.
+    pub fn finish_training(&mut self) {
+        for m in &mut self.models {
+            m.embed.finish_training();
+            m.backbone.finish_training();
+            m.head.finish_training();
+        }
+    }
+
     pub fn num_params(&self) -> usize {
         self.models
             .iter()

@@ -179,6 +179,8 @@ pub(crate) struct FusedAccessView<'a> {
 
 /// Trains the full MPGraph stack on the training records (the first
 /// framework iteration, phase labels available offline per Figure 6).
+/// The returned prefetcher's models keep their weights only
+/// ([`DeltaPredictor::finish_training`]).
 pub fn train_mpgraph(
     records: &[MemRecord],
     num_phases: usize,
@@ -186,7 +188,7 @@ pub fn train_mpgraph(
     tc: &TrainCfg,
 ) -> MpGraphPrefetcher {
     let sink = crate::TrainEventSink::new();
-    let delta = DeltaPredictor::train_with_events(
+    let mut delta = DeltaPredictor::train_with_events(
         records,
         num_phases,
         cfg.variant,
@@ -194,7 +196,8 @@ pub fn train_mpgraph(
         tc,
         Some(&sink),
     );
-    let page = PagePredictor::train_with_events(
+    delta.finish_training();
+    let mut page = PagePredictor::train_with_events(
         records,
         num_phases,
         cfg.variant,
@@ -202,6 +205,7 @@ pub fn train_mpgraph(
         tc,
         Some(&sink),
     );
+    page.finish_training();
     let detector = build_detector(records, num_phases, cfg.detector);
     MpGraphPrefetcher {
         train_rollback_events: sink.drain(),
@@ -254,14 +258,18 @@ pub fn build_detector(
 impl MpGraphPrefetcher {
     /// Assembles a prefetcher from already-trained (possibly distilled or
     /// quantized) predictors — the Figure 13/14 compressed configurations.
+    /// Their gradients and Adam moments are freed: a prefetcher only
+    /// serves.
     pub fn from_parts(
-        delta: DeltaPredictor,
-        page: PagePredictor,
+        mut delta: DeltaPredictor,
+        mut page: PagePredictor,
         detector: Box<dyn TransitionDetector + Send>,
         cfg: MpGraphConfig,
         num_phases: usize,
         history: usize,
     ) -> Self {
+        delta.finish_training();
+        page.finish_training();
         MpGraphPrefetcher {
             controller: Controller::new(num_phases, cfg.probe_window),
             pbot: Pbot::new(cfg.pbot_capacity),
@@ -462,7 +470,6 @@ impl Prefetcher for MpGraphPrefetcher {
             return;
         }
         let phase = self.controller.current_phase();
-        let page_items: Vec<(usize, u64)> = self.page_hists[(a.core as usize) % 8].items().to_vec();
         // `CstpStats` is `Copy`: snapshot before the chain call so the
         // per-batch deltas can be emitted as one summary event.
         let cstp_before = self.trace_on.then_some(self.cstp_stats);
@@ -471,7 +478,7 @@ impl Prefetcher for MpGraphPrefetcher {
             &self.page,
             &self.pbot,
             self.block_hist.items(),
-            &page_items,
+            self.page_hists[(a.core as usize) % 8].items(),
             phase,
             &self.cfg.cstp,
             &mut self.spatial_arena,

@@ -126,6 +126,22 @@ impl ScratchArena {
         }
     }
 
+    /// The last row of each of the `batch` sequences stacked in `m`,
+    /// gathered into a `[batch, cols]` buffer the caller gives back — the
+    /// last-position readout, or a readout layer's queries.
+    pub fn last_rows(&mut self, m: &Matrix, batch: usize) -> Matrix {
+        assert!(
+            batch > 0 && m.rows.is_multiple_of(batch),
+            "rows must tile by batch"
+        );
+        let seq = m.rows / batch;
+        let mut out = self.take(batch, m.cols);
+        for b in 0..batch {
+            out.row_mut(b).copy_from_slice(m.row((b + 1) * seq - 1));
+        }
+        out
+    }
+
     /// `(hits, misses)` — a steady-state hot loop should only ever grow
     /// `hits` after warmup.
     pub fn stats(&self) -> (u64, u64) {

@@ -8,8 +8,9 @@ use crate::tensor::Matrix;
 use rand_chacha::ChaCha8Rng;
 
 /// Single-head self-attention: `Y = softmax(Q K^T / sqrt(d)) V` with
-/// `Q = X Wq`, `K = X Wk`, `V = X Wv`. This is the "self-attention layer"
-/// AMMA applies to each input modality. `W` is the projection weight type:
+/// `Q = Xq Wq`, `K = X Wk`, `V = X Wv`, where the query rows `Xq` are `X`
+/// itself or, in a readout layer, the last row of each sequence. This is
+/// the "self-attention layer" AMMA applies to each input modality. `W` is the projection weight type:
 /// [`Param`] for the trained model, [`QuantizedLinear`] for its int8
 /// snapshot.
 #[derive(Debug, Clone)]
@@ -23,7 +24,8 @@ pub struct SelfAttention<W = Param> {
 
 #[derive(Debug, Clone)]
 struct AttnCache {
-    x: Matrix,
+    xq: Matrix,
+    xkv: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
@@ -52,16 +54,22 @@ impl SelfAttention {
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let q = x.matmul(&self.wq.w);
-        let k = x.matmul(&self.wk.w);
-        let v = x.matmul(&self.wv.w);
+    /// Training forward over one sequence. Keys and values cover every
+    /// row of `xkv`; the queries `xq` are its trailing `xq.rows` rows — all
+    /// of them for a full-sequence layer (pass the same matrix twice), the
+    /// last one for a readout layer. Returns `[xq.rows, head_dim]`.
+    pub fn forward(&mut self, xq: &Matrix, xkv: &Matrix) -> Matrix {
+        assert!(xq.rows <= xkv.rows, "queries are rows of the sequence");
+        let q = xq.matmul(&self.wq.w);
+        let k = xkv.matmul(&self.wk.w);
+        let v = xkv.matmul(&self.wv.w);
         let mut scores = q.matmul_bt(&k);
         scores.scale(1.0 / (self.head_dim as f32).sqrt());
         let attn = scores.softmax_rows();
         let y = attn.matmul(&v);
         self.cache = Some(AttnCache {
-            x: x.clone(),
+            xq: xq.clone(),
+            xkv: xkv.clone(),
             q,
             k,
             v,
@@ -70,6 +78,10 @@ impl SelfAttention {
         y
     }
 
+    /// Backward from `dy` (`[xq.rows, head_dim]`). Returns the gradient
+    /// with respect to the whole sequence, `[xkv.rows, in_dim]`: the query
+    /// term lands on the trailing query rows, the key and value terms on
+    /// every row.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let c = self.cache.as_ref().expect("forward before backward");
         let scale = 1.0 / (self.head_dim as f32).sqrt();
@@ -83,11 +95,14 @@ impl SelfAttention {
         let dq = ds.matmul(&c.k);
         let dk = ds.matmul_at(&c.q);
         // Parameter grads.
-        self.wq.g.add_assign(&c.x.matmul_at(&dq));
-        self.wk.g.add_assign(&c.x.matmul_at(&dk));
-        self.wv.g.add_assign(&c.x.matmul_at(&dv));
+        self.wq.g.add_assign(&c.xq.matmul_at(&dq));
+        self.wk.g.add_assign(&c.xkv.matmul_at(&dk));
+        self.wv.g.add_assign(&c.xkv.matmul_at(&dv));
         // Input grad.
-        let mut dx = dq.matmul_bt(&self.wq.w);
+        let mut dx = Matrix::zeros(c.xkv.rows, c.xkv.cols);
+        let dxq = dq.matmul_bt(&self.wq.w);
+        let query_rows = dx.data.len() - dxq.data.len();
+        dx.data[query_rows..].copy_from_slice(&dxq.data);
         dx.add_assign(&dk.matmul_bt(&self.wk.w));
         dx.add_assign(&dv.matmul_bt(&self.wv.w));
         dx
@@ -103,40 +118,52 @@ impl<W: Project> SelfAttention<W> {
         self.wq.storage_bytes() + self.wk.storage_bytes() + self.wv.storage_bytes()
     }
 
-    /// Inference over `batch` stacked sequences: `x` is
+    /// Inference over `batch` stacked sequences: `xkv` is
     /// `[batch * seq, in_dim]` with each sequence occupying a contiguous
-    /// block of rows (a single window is `batch = 1`). The Q/K/V
-    /// projections — shared by every row — run as single fused products
-    /// over the whole stack; attention itself is confined to each
-    /// sequence's own `[seq, seq]` score block, so every sequence's rows
-    /// are bit-identical to running it alone. Scratch comes from `s`; the
-    /// caller gives the result back.
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
+    /// block of rows (a single window is `batch = 1`), and `xq` holds the
+    /// query rows of each sequence, `[batch * nq, in_dim]` — the whole
+    /// sequence (`xq` is `xkv`) or its last row (a readout layer). The
+    /// Q/K/V projections — shared by every row — run as single fused
+    /// products over the whole stack; attention itself is confined to each
+    /// sequence's own `[nq, seq]` score block. Every output row depends on
+    /// its own query row and its sequence's keys and values alone, so it is
+    /// bit-identical whether its sequence runs alone or in a batch, and
+    /// whether the other query rows run or not. Returns `[batch * nq,
+    /// head_dim]`. Scratch comes from `s`; the caller gives the result
+    /// back.
+    pub fn infer_batch_in(
+        &self,
+        xq: &Matrix,
+        xkv: &Matrix,
+        batch: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
         assert!(
-            batch > 0 && x.rows.is_multiple_of(batch),
+            batch > 0 && xkv.rows.is_multiple_of(batch) && xq.rows.is_multiple_of(batch),
             "rows must tile by batch"
         );
-        let seq = x.rows / batch;
+        let (seq, nq) = (xkv.rows / batch, xq.rows / batch);
         let hd = self.head_dim;
-        let q = self.wq.project_in(x, s);
-        let k = self.wk.project_in(x, s);
-        let v = self.wv.project_in(x, s);
-        let mut y = s.take(x.rows, hd);
-        let mut qb = s.take(seq, hd);
+        let q = self.wq.project_in(xq, s);
+        let k = self.wk.project_in(xkv, s);
+        let v = self.wv.project_in(xkv, s);
+        let mut y = s.take(xq.rows, hd);
+        let mut qb = s.take(nq, hd);
         let mut kb = s.take(seq, hd);
         let mut vb = s.take(seq, hd);
-        let mut yb = s.take(seq, hd);
-        let mut scores = s.take(seq, seq);
+        let mut yb = s.take(nq, hd);
+        let mut scores = s.take(nq, seq);
         for b in 0..batch {
-            let span = b * seq * hd..(b + 1) * seq * hd;
-            qb.data.copy_from_slice(&q.data[span.clone()]);
-            kb.data.copy_from_slice(&k.data[span.clone()]);
-            vb.data.copy_from_slice(&v.data[span.clone()]);
+            let q_span = b * nq * hd..(b + 1) * nq * hd;
+            let kv_span = b * seq * hd..(b + 1) * seq * hd;
+            qb.data.copy_from_slice(&q.data[q_span.clone()]);
+            kb.data.copy_from_slice(&k.data[kv_span.clone()]);
+            vb.data.copy_from_slice(&v.data[kv_span]);
             qb.matmul_bt_into(&kb, &mut scores);
             scores.scale(1.0 / (hd as f32).sqrt());
             scores.softmax_rows_inplace();
             scores.matmul_into(&vb, &mut yb);
-            y.data[span].copy_from_slice(&yb.data);
+            y.data[q_span].copy_from_slice(&yb.data);
         }
         for m in [qb, kb, vb, yb, scores, q, k, v] {
             s.give(m);
@@ -193,12 +220,14 @@ impl MultiHeadAttention {
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let s = x.rows;
+    /// Training forward over one sequence; `xq`/`xkv` as in
+    /// [`SelfAttention::forward`]. Returns `[xq.rows, dim]`.
+    pub fn forward(&mut self, xq: &Matrix, xkv: &Matrix) -> Matrix {
+        let s = xq.rows;
         let head_dim = self.dim / self.heads.len();
         let mut concat = Matrix::zeros(s, self.dim);
         for (h, head) in self.heads.iter_mut().enumerate() {
-            let y = head.forward(x);
+            let y = head.forward(xq, xkv);
             for r in 0..s {
                 concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
             }
@@ -208,6 +237,8 @@ impl MultiHeadAttention {
         out
     }
 
+    /// Backward from `dy` (`[xq.rows, dim]`); returns the gradient with
+    /// respect to the whole sequence, as [`SelfAttention::backward`].
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let concat = self.cache_concat.as_ref().expect("forward before backward");
         self.wo.g.add_assign(&concat.matmul_at(dy));
@@ -240,14 +271,20 @@ impl<W: Project> MultiHeadAttention<W> {
             + self.wo.storage_bytes()
     }
 
-    /// Inference over `batch` stacked sequences; see
-    /// [`SelfAttention::infer_batch_in`].
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        let rows = x.rows;
+    /// Inference over `batch` stacked sequences, queries `xq` over keys
+    /// and values `xkv`; see [`SelfAttention::infer_batch_in`].
+    pub fn infer_batch_in(
+        &self,
+        xq: &Matrix,
+        xkv: &Matrix,
+        batch: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let rows = xq.rows;
         let head_dim = self.dim / self.heads.len();
         let mut concat = s.take(rows, self.dim);
         for (h, head) in self.heads.iter().enumerate() {
-            let y = head.infer_batch_in(x, batch, s);
+            let y = head.infer_batch_in(xq, xkv, batch, s);
             for r in 0..rows {
                 concat.row_mut(r)[h * head_dim..(h + 1) * head_dim].copy_from_slice(y.row(r));
             }
@@ -282,11 +319,11 @@ mod tests {
     use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
 
     fn infer(a: &SelfAttention, x: &Matrix) -> Matrix {
-        a.infer_batch_in(x, 1, &mut ScratchArena::new())
+        a.infer_batch_in(x, x, 1, &mut ScratchArena::new())
     }
 
     fn infer_mha(m: &MultiHeadAttention, x: &Matrix) -> Matrix {
-        m.infer_batch_in(x, 1, &mut ScratchArena::new())
+        m.infer_batch_in(x, x, 1, &mut ScratchArena::new())
     }
 
     fn weighted_sum(y: &Matrix, w: &Matrix) -> f32 {
@@ -298,7 +335,7 @@ mod tests {
         let mut r = rng(1);
         let mut a = SelfAttention::new(8, 4, &mut r);
         let x = Matrix::xavier(5, 8, &mut r);
-        let y = a.forward(&x);
+        let y = a.forward(&x, &x);
         assert_eq!((y.rows, y.cols), (5, 4));
         assert_eq!(a.out_dim(), 4);
     }
@@ -318,7 +355,7 @@ mod tests {
                 .collect(),
         );
         let x = Matrix::xavier(6, 4, &mut r);
-        let y = a.forward(&x);
+        let y = a.forward(&x, &x);
         for c in 0..4 {
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
             for row in 0..6 {
@@ -337,7 +374,7 @@ mod tests {
         let mut a = SelfAttention::new(4, 3, &mut r);
         let x = Matrix::xavier(3, 4, &mut r);
         let w = Matrix::xavier(3, 3, &mut r);
-        let _ = a.forward(&x);
+        let _ = a.forward(&x, &x);
         let dx = a.backward(&w);
         let eps = 1e-2f32;
         for i in 0..x.data.len() {
@@ -361,7 +398,7 @@ mod tests {
         let mut a = SelfAttention::new(3, 2, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
         let w = Matrix::xavier(4, 2, &mut r);
-        let _ = a.forward(&x);
+        let _ = a.forward(&x, &x);
         let _ = a.backward(&w);
         let eps = 1e-2f32;
         for (pi, get) in [(0usize, 0usize), (1, 1), (2, 0)] {
@@ -385,7 +422,7 @@ mod tests {
         let mut r = rng(5);
         let mut mha = MultiHeadAttention::new(8, 4, &mut r);
         let x = Matrix::xavier(6, 8, &mut r);
-        let y = mha.forward(&x);
+        let y = mha.forward(&x, &x);
         assert_eq!((y.rows, y.cols), (6, 8));
         // 4 heads × 3 matrices × 8×2 + Wo 8×8.
         assert_eq!(mha.num_params(), 4 * 3 * 16 + 64);
@@ -397,7 +434,7 @@ mod tests {
         let mut mha = MultiHeadAttention::new(4, 2, &mut r);
         let x = Matrix::xavier(3, 4, &mut r);
         let w = Matrix::xavier(3, 4, &mut r);
-        let _ = mha.forward(&x);
+        let _ = mha.forward(&x, &x);
         let dx = mha.backward(&w);
         let eps = 1e-2f32;
         for i in [0usize, 3, 7, 11] {
@@ -429,9 +466,9 @@ mod tests {
         let mut a = SelfAttention::new(8, 4, &mut r);
         let mut mha = MultiHeadAttention::new(8, 2, &mut r);
         let x = Matrix::xavier(5, 8, &mut r);
-        let y = a.forward(&x);
+        let y = a.forward(&x, &x);
         assert!(max_abs_diff(&y.data, &infer(&a, &x).data) < 1e-6);
-        let y = mha.forward(&x);
+        let y = mha.forward(&x, &x);
         assert!(max_abs_diff(&y.data, &infer_mha(&mha, &x).data) < 1e-6);
     }
 
@@ -442,10 +479,10 @@ mod tests {
         let qa = a.quantized();
         let mha = MultiHeadAttention::new(8, 2, &mut r);
         let qmha = mha.quantized();
-        assert_batch_rows_match_single(5, 8, 10, |x, b, s| a.infer_batch_in(x, b, s));
-        assert_batch_rows_match_single(5, 8, 11, |x, b, s| qa.infer_batch_in(x, b, s));
-        assert_batch_rows_match_single(5, 8, 12, |x, b, s| mha.infer_batch_in(x, b, s));
-        assert_batch_rows_match_single(5, 8, 13, |x, b, s| qmha.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 10, |x, b, s| a.infer_batch_in(x, x, b, s));
+        assert_batch_rows_match_single(5, 8, 11, |x, b, s| qa.infer_batch_in(x, x, b, s));
+        assert_batch_rows_match_single(5, 8, 12, |x, b, s| mha.infer_batch_in(x, x, b, s));
+        assert_batch_rows_match_single(5, 8, 13, |x, b, s| qmha.infer_batch_in(x, x, b, s));
     }
 
     #[test]
@@ -454,8 +491,8 @@ mod tests {
         let a = SelfAttention::new(16, 8, &mut r);
         let x = Matrix::xavier(9, 16, &mut r);
         let mut s = ScratchArena::new();
-        let exact = a.infer_batch_in(&x, 1, &mut s);
-        let quant = a.quantized().infer_batch_in(&x, 1, &mut s);
+        let exact = a.infer_batch_in(&x, &x, 1, &mut s);
+        let quant = a.quantized().infer_batch_in(&x, &x, 1, &mut s);
         // Attention outputs are convex mixes of projected rows; int8 error
         // stays well under the activation magnitude.
         let diff = max_abs_diff(&exact.data, &quant.data);

@@ -48,6 +48,15 @@ impl Param {
     pub fn is_empty(&self) -> bool {
         self.w.data.is_empty()
     }
+
+    /// Frees the gradient and the Adam moments, keeping the weights: a
+    /// parameter that is done training and only serves inference needs a
+    /// quarter of the memory. Training it again afterwards panics.
+    pub fn finish_training(&mut self) {
+        self.g = Matrix::zeros(0, 0);
+        self.m = Vec::new();
+        self.v = Vec::new();
+    }
 }
 
 /// Anything that owns trainable parameters.
@@ -64,6 +73,11 @@ pub trait Module {
     /// Zeroes all gradient accumulators.
     fn zero_grad(&mut self) {
         self.for_each_param(&mut |p| p.g.data.fill(0.0));
+    }
+
+    /// [`Param::finish_training`] on every parameter.
+    fn finish_training(&mut self) {
+        self.for_each_param(&mut |p| p.finish_training());
     }
 
     /// Total trainable parameter count (Table 8's "Param" column).
@@ -632,6 +646,23 @@ mod tests {
         assert_eq!(e.num_params(), 800);
         let ln = LayerNorm::new(16);
         assert_eq!(ln.num_params(), 32);
+    }
+
+    #[test]
+    fn finish_training_keeps_weights_and_inference() {
+        let mut r = rng(9);
+        let mut l = Linear::new(3, 2, &mut r);
+        let x = Matrix::xavier(2, 3, &mut r);
+        let before = l.infer(&x);
+        let _ = l.forward(&x);
+        let _ = l.backward(&x.matmul(&Matrix::xavier(3, 2, &mut r)));
+        let params = l.num_params();
+        l.finish_training();
+        assert_eq!(l.num_params(), params);
+        assert_eq!(l.infer(&x), before);
+        l.for_each_param_ref(&mut |p| {
+            assert!(p.g.data.is_empty() && p.m.is_empty() && p.v.is_empty());
+        });
     }
 
     #[test]

@@ -71,21 +71,36 @@ pub fn accuracy_at_k(predicted: &[u64], future_windows: &[Vec<u64>]) -> f64 {
     hits as f64 / predicted.len() as f64
 }
 
-/// Indices of the `k` largest values in `scores`, descending.
+/// Indices of the `k` largest values in `scores`, descending; equal
+/// scores (including `0.0` and `-0.0`) keep index order, and NaN ranks
+/// after every number. Selects the top `k` first and sorts only those,
+/// since callers rank a whole label set to keep a handful.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
+    // (NaN last, score descending, index ascending) is a strict total
+    // order, so the unstable selection and sort give exactly the prefix of
+    // a stable sort by score.
+    let order = |&a: &usize, &b: &usize| {
+        let (x, y) = (scores[a], scores[b]);
+        x.is_nan()
+            .cmp(&y.is_nan())
+            .then(y.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
+            .then(a.cmp(&b))
+    };
     let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    idx.truncate(k);
+    if k < idx.len() {
+        if k > 0 {
+            idx.select_nth_unstable_by(k - 1, order);
+        }
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(order);
     idx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn prf_from_counts() {
@@ -135,5 +150,51 @@ mod tests {
         let scores = vec![0.1, 0.9, 0.5, 0.7];
         assert_eq!(top_k_indices(&scores, 2), vec![1, 3]);
         assert_eq!(top_k_indices(&scores, 10).len(), 4);
+    }
+
+    /// The stable full sort by score that `top_k_indices` must reproduce,
+    /// with NaN moved behind every number.
+    fn top_k_by_sort(scores: &[f32], k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..scores.len()).collect();
+        idx.sort_by(|&a, &b| {
+            let (x, y) = (scores[a], scores[b]);
+            x.is_nan()
+                .cmp(&y.is_nan())
+                .then(y.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        idx.truncate(k);
+        idx
+    }
+
+    /// Few distinct values, so ties are common; ±0.0 and ±inf included.
+    const VALUES: [f32; 9] = [
+        -1.0,
+        -0.0,
+        0.0,
+        0.25,
+        0.5,
+        0.5000001,
+        1.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn top_k_matches_stable_sort(
+            picks in prop::collection::vec(0usize..VALUES.len(), 0..140),
+            k in 0usize..150,
+            nan_at in 0usize..400,
+        ) {
+            let mut scores: Vec<f32> = picks.iter().map(|&i| VALUES[i]).collect();
+            prop_assert_eq!(top_k_indices(&scores, k), top_k_by_sort(&scores, k));
+            // A NaN (in about a third of the cases) ranks last.
+            if let Some(v) = scores.get_mut(nan_at) {
+                *v = f32::NAN;
+                prop_assert_eq!(top_k_indices(&scores, k), top_k_by_sort(&scores, k));
+            }
+        }
     }
 }

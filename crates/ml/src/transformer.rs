@@ -112,24 +112,35 @@ impl TransformerLayer {
         }
     }
 
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = self.msa.forward(x);
-        h.add_assign(x);
+    /// Training forward over one sequence. Keys and values cover every
+    /// row of `xkv`; the queries `xq` are its trailing rows — the whole
+    /// sequence for a full layer (pass the same matrix twice), its last row
+    /// for a readout layer, whose output is then that row alone. Returns
+    /// `[xq.rows, dim]`.
+    pub fn forward(&mut self, xq: &Matrix, xkv: &Matrix) -> Matrix {
+        let mut h = self.msa.forward(xq, xkv);
+        h.add_assign(xq);
         let h = self.ln1.forward(&h);
         let mut y = self.ffn.forward(&h);
         y.add_assign(&h);
         self.ln2.forward(&y)
     }
 
+    /// Backward from `dy` (`[xq.rows, dim]`). Returns the gradient with
+    /// respect to the whole sequence, `[xkv.rows, dim]`; which rows were
+    /// queries follows from the two cached shapes.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let d = self.ln2.backward(dy);
         // y = ffn(h) + h
         let mut dh = self.ffn.backward(&d);
         dh.add_assign(&d);
         let d = self.ln1.backward(&dh);
-        // h = msa(x) + x
+        // h = msa(xq, xkv) + xq: the residual lands on the query rows.
         let mut dx = self.msa.backward(&d);
-        dx.add_assign(&d);
+        let query_rows = dx.data.len() - d.data.len();
+        for (a, b) in dx.data[query_rows..].iter_mut().zip(&d.data) {
+            *a += b;
+        }
         dx
     }
 }
@@ -141,12 +152,21 @@ impl<P: Project, L: Project> TransformerLayer<P, L> {
         self.msa.storage_bytes() + self.ffn.storage_bytes() + ln
     }
 
-    /// Inference over `batch` stacked sequences: attention is confined per
-    /// sequence (see [`MultiHeadAttention::infer_batch_in`]); the FFN and
-    /// layer norms are row-wise, so they fuse across the whole stack.
-    pub fn infer_batch_in(&self, x: &Matrix, batch: usize, s: &mut ScratchArena) -> Matrix {
-        let mut h = self.msa.infer_batch_in(x, batch, s);
-        h.add_assign(x);
+    /// Inference over `batch` stacked sequences `xkv`, computing the rows
+    /// of `xq`: the whole stack (`xq` is `xkv`) or each sequence's last row
+    /// (a readout layer). Attention is confined per sequence (see
+    /// [`MultiHeadAttention::infer_batch_in`]); the FFN and layer norms are
+    /// row-wise, so they fuse across the whole stack and a row nobody
+    /// queries costs nothing. Returns `[xq.rows, dim]`.
+    pub fn infer_batch_in(
+        &self,
+        xq: &Matrix,
+        xkv: &Matrix,
+        batch: usize,
+        s: &mut ScratchArena,
+    ) -> Matrix {
+        let mut h = self.msa.infer_batch_in(xq, xkv, batch, s);
+        h.add_assign(xq);
         self.ln1.infer_inplace(&mut h);
         let mut y = self.ffn.infer_in(&h, s);
         y.add_assign(&h);
@@ -172,6 +192,58 @@ impl Module for TransformerLayer {
     }
 }
 
+/// Runs an encoder stack over `batch` stacked sequences `h` and returns the
+/// last-position readout of each sequence, `[batch, dim]`. Every layer but
+/// the last runs the full sequence; the last takes only each sequence's
+/// last row as its query, over keys and values from every row, so the rows
+/// nobody reads are never computed. Each output row is computed from its
+/// own input rows alone in every step (projections, scores, softmax, layer
+/// norm, FFN), so the readout is bit-identical to running the last layer
+/// in full and keeping its last rows. `h` goes back to `s`.
+pub fn readout_infer_batch_in<P: Project, L: Project>(
+    layers: &[TransformerLayer<P, L>],
+    mut h: Matrix,
+    batch: usize,
+    s: &mut ScratchArena,
+) -> Matrix {
+    let (last, full) = layers.split_last().expect("a readout needs a layer");
+    for t in full {
+        let h2 = t.infer_batch_in(&h, &h, batch, s);
+        s.give(h);
+        h = h2;
+    }
+    let q = s.last_rows(&h, batch);
+    let y = last.infer_batch_in(&q, &h, batch, s);
+    s.give(q);
+    s.give(h);
+    y
+}
+
+/// Training counterpart of [`readout_infer_batch_in`] for one sequence:
+/// returns its `[1, dim]` last-position readout.
+pub fn readout_forward(layers: &mut [TransformerLayer], mut h: Matrix) -> Matrix {
+    let (last, full) = layers.split_last_mut().expect("a readout needs a layer");
+    for t in full {
+        h = t.forward(&h, &h);
+    }
+    let q = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
+    last.forward(&q, &h)
+}
+
+/// Backward through [`readout_forward`] from the readout gradient
+/// `[1, dim]`; returns the gradient with respect to the stack's input,
+/// `[T, dim]`. The rows the readout never computed only ever carried
+/// exact-zero gradient, so every parameter gradient is bit-identical to
+/// the full-sequence backward's.
+pub fn readout_backward(layers: &mut [TransformerLayer], d: &Matrix) -> Matrix {
+    let (last, full) = layers.split_last_mut().expect("a readout needs a layer");
+    let mut dh = last.backward(d);
+    for t in full.iter_mut().rev() {
+        dh = t.backward(&dh);
+    }
+    dh
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +251,7 @@ mod tests {
     use crate::testutil::{assert_batch_rows_match_single, max_abs_diff};
 
     fn infer(t: &TransformerLayer, x: &Matrix) -> Matrix {
-        t.infer_batch_in(x, 1, &mut ScratchArena::new())
+        t.infer_batch_in(x, x, 1, &mut ScratchArena::new())
     }
 
     #[test]
@@ -196,7 +268,7 @@ mod tests {
         let mut r = rng(2);
         let mut t = TransformerLayer::new(8, 2, &mut r);
         let x = Matrix::xavier(4, 8, &mut r);
-        let y = t.forward(&x);
+        let y = t.forward(&x, &x);
         assert_eq!((y.rows, y.cols), (4, 8));
         // Output is layer-normalized per row.
         for row in 0..4 {
@@ -211,7 +283,7 @@ mod tests {
         let mut t = TransformerLayer::new(4, 2, &mut r);
         let x = Matrix::xavier(3, 4, &mut r);
         let w = Matrix::xavier(3, 4, &mut r);
-        let _ = t.forward(&x);
+        let _ = t.forward(&x, &x);
         let dx = t.backward(&w);
         let loss = |m: &Matrix| -> f32 {
             infer(&t, m)
@@ -242,7 +314,7 @@ mod tests {
         let mut t = TransformerLayer::new(8, 4, &mut r);
         let mut ffn = FeedForward::new(8, 16, &mut r);
         let x = Matrix::xavier(3, 8, &mut r);
-        let a = t.forward(&x);
+        let a = t.forward(&x, &x);
         assert!(max_abs_diff(&a.data, &infer(&t, &x).data) < 1e-6);
         let a = ffn.forward(&x);
         let b = ffn.infer_in(&x, &mut ScratchArena::new());
@@ -256,10 +328,44 @@ mod tests {
         let qt = t.quantized();
         let ffn = FeedForward::new(8, 16, &mut r);
         let qffn = ffn.quantized();
-        assert_batch_rows_match_single(5, 8, 20, |x, b, s| t.infer_batch_in(x, b, s));
-        assert_batch_rows_match_single(5, 8, 21, |x, b, s| qt.infer_batch_in(x, b, s));
+        assert_batch_rows_match_single(5, 8, 20, |x, b, s| t.infer_batch_in(x, x, b, s));
+        assert_batch_rows_match_single(5, 8, 21, |x, b, s| qt.infer_batch_in(x, x, b, s));
         assert_batch_rows_match_single(5, 8, 22, |x, _, s| ffn.infer_in(x, s));
         assert_batch_rows_match_single(5, 8, 23, |x, _, s| qffn.infer_in(x, s));
+    }
+
+    /// Last rows of every sequence after running `layers` in full.
+    fn full_stack_last_rows<P: Project, L: Project>(
+        layers: &[TransformerLayer<P, L>],
+        x: &Matrix,
+        batch: usize,
+    ) -> Vec<f32> {
+        let mut s = ScratchArena::new();
+        let mut h = x.clone();
+        for t in layers {
+            h = t.infer_batch_in(&h, &h, batch, &mut s);
+        }
+        s.last_rows(&h, batch).data
+    }
+
+    #[test]
+    fn readout_matches_full_stack_last_rows_for_f32_and_int8() {
+        let mut r = rng(8);
+        let layers = vec![
+            TransformerLayer::new(8, 2, &mut r),
+            TransformerLayer::new(8, 2, &mut r),
+        ];
+        let qlayers: Vec<_> = layers.iter().map(TransformerLayer::quantized).collect();
+        let mut s = ScratchArena::new();
+        for (batch, seq) in [(1usize, 5usize), (3, 4), (8, 9)] {
+            let x = Matrix::xavier(batch * seq, 8, &mut r);
+            let y = readout_infer_batch_in(&layers, x.clone(), batch, &mut s);
+            let want = full_stack_last_rows(&layers, &x, batch);
+            assert_eq!(y.data, want, "f32 B={batch} T={seq}");
+            let y = readout_infer_batch_in(&qlayers, x.clone(), batch, &mut s);
+            let want = full_stack_last_rows(&qlayers, &x, batch);
+            assert_eq!(y.data, want, "int8 B={batch} T={seq}");
+        }
     }
 
     #[test]
@@ -269,8 +375,8 @@ mod tests {
         let qt = t.quantized();
         let x = Matrix::xavier(9, 16, &mut r);
         let mut s = ScratchArena::new();
-        let exact = t.infer_batch_in(&x, 1, &mut s);
-        let quant = qt.infer_batch_in(&x, 1, &mut s);
+        let exact = t.infer_batch_in(&x, &x, 1, &mut s);
+        let quant = qt.infer_batch_in(&x, &x, 1, &mut s);
         // Post-LN activations are O(1); the residual+LN structure keeps
         // quantization error from compounding.
         let diff = max_abs_diff(&exact.data, &quant.data);

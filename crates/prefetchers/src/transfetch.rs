@@ -109,7 +109,7 @@ impl TransFetch {
     ) -> Matrix {
         let mut h = embed.forward(x);
         for b in blocks.iter_mut() {
-            h = b.forward(&h);
+            h = b.forward(&h, &h);
         }
         // Mean-pool over the sequence.
         let mut pooled = Matrix::zeros(1, h.cols);
@@ -126,7 +126,7 @@ impl TransFetch {
         let mut h = self.embed.infer(&x);
         let mut s = ScratchArena::new();
         for b in &self.blocks {
-            h = b.infer_batch_in(&h, 1, &mut s);
+            h = b.infer_batch_in(&h, &h, 1, &mut s);
         }
         let mut pooled = Matrix::zeros(1, h.cols);
         for r in 0..h.rows {
