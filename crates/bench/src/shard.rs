@@ -19,7 +19,7 @@
 
 use crate::runners::prefetching::{mpgraph_cfg, sim_config};
 use crate::scale::ExpScale;
-use crate::workload::{all_cells, build_workload};
+use crate::workload::{all_cells, build_workload, Workload};
 use mpgraph_core::trace::TraceConfig as TelemetryConfig;
 use mpgraph_core::{
     chrome_trace_json_sharded, train_mpgraph, MetricsSnapshot, PrefetchScoreboard, ShardTrace,
@@ -27,7 +27,7 @@ use mpgraph_core::{
 use mpgraph_frameworks::{App, Framework};
 use mpgraph_graph::Dataset;
 use mpgraph_prefetchers::{BestOffset, BoConfig};
-use mpgraph_sim::{simulate, NullPrefetcher, PrefetchObserver, SimResult, SimSession};
+use mpgraph_sim::{simulate, NullPrefetcher, PrefetchObserver, Prefetcher, SimResult, SimSession};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -121,42 +121,54 @@ pub fn run_combo_opts(
     if quant {
         mp.quantize();
     }
-    let mut sb =
-        PrefetchScoreboard::with_trace(w.num_phases.max(1), 4096, TelemetryConfig::default());
-    let mut session = SimSession::new(&cfg);
-    for segment in w.test.chunks(segment_len.max(1)) {
-        session.run_segment(
-            segment,
-            &mut mp,
-            None,
-            Some(&mut sb as &mut dyn PrefetchObserver),
-        );
-    }
-    let mpgraph = session.finish(&mp, None);
-
-    let mut snapshot = sb.snapshot();
+    let (mpgraph, mut snapshot, trace) = replay_traced(combo, &w, &mut mp, segment_len);
     mp.enrich_snapshot(&mut snapshot);
-    let recorder = sb
-        .flight_recorder()
-        .cloned()
-        .expect("scoreboard was built with tracing attached");
-    let records = sb.trace_records();
-    let trace = ShardTrace {
-        label: combo.label(),
-        recorder,
-        windows: sb.windows(),
-        end: records,
-        live: Vec::new(),
-    };
     ComboResult {
         combo,
         base,
         bo,
         mpgraph,
+        records: trace.end,
         snapshot,
         trace,
-        records,
     }
+}
+
+/// The traced half of [`run_combo`]: replays `w.test` through `pf` in
+/// `segment_len` segments of one [`SimSession`], under one traced
+/// scoreboard. Returns the simulation, the scoreboard's snapshot (the
+/// caller folds in the prefetcher's own counters with
+/// `MpGraphPrefetcher::enrich_snapshot`), and the combo's trace.
+pub fn replay_traced(
+    combo: Combo,
+    w: &Workload,
+    pf: &mut dyn Prefetcher,
+    segment_len: usize,
+) -> (SimResult, MetricsSnapshot, ShardTrace) {
+    let mut sb =
+        PrefetchScoreboard::with_trace(w.num_phases.max(1), 4096, TelemetryConfig::default());
+    let mut session = SimSession::new(&sim_config());
+    for segment in w.test.chunks(segment_len.max(1)) {
+        session.run_segment(
+            segment,
+            pf,
+            None,
+            Some(&mut sb as &mut dyn PrefetchObserver),
+        );
+    }
+    let result = session.finish(pf, None);
+    let recorder = sb
+        .flight_recorder()
+        .cloned()
+        .expect("scoreboard was built with tracing attached");
+    let trace = ShardTrace {
+        label: combo.label(),
+        recorder,
+        windows: sb.windows(),
+        end: sb.trace_records(),
+        live: Vec::new(),
+    };
+    (result, sb.snapshot(), trace)
 }
 
 /// The full matrix run: per-combo results in canonical order plus the

@@ -24,6 +24,13 @@ pub struct Workload {
     /// therefore what they train on (Figure 6's extracted LLC trace).
     pub train_llc: Vec<MemRecord>,
     /// LLC-level view of `test` (prediction-metric input, Tables 6/7).
+    /// It is *not* the LLC stream a replay of `test` presents: it is
+    /// filtered with private caches warmed by the training iteration,
+    /// while `simulate(&w.test, …)` starts them cold (GPOP/BFS at quick
+    /// scale: 3,873 records here against 4,003 LLC accesses in the
+    /// engine, and across the quick matrix the two agree only on their
+    /// first 0–109 accesses). The simulator announces its own stream
+    /// (`Prefetcher::announce_llc_stream`); never substitute this one.
     pub test_llc: Vec<MemRecord>,
 }
 

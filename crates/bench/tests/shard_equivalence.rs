@@ -57,6 +57,13 @@ fn segment_length_does_not_perturb_the_merge() {
         coarse.merged.to_json_pretty().expect("serialize"),
         "merged snapshot depends on segment length"
     );
+    // So is the merged Perfetto export: the train-time rollback summary
+    // is stamped once per replay, not once per segment.
+    assert_eq!(
+        serde_json::to_string(&fine.chrome_trace()).expect("serialize"),
+        serde_json::to_string(&coarse.chrome_trace()).expect("serialize"),
+        "merged trace depends on segment length"
+    );
     // Per-combo snapshots are themselves segment-invariant (one traced
     // scoreboard spans every segment of a combo).
     for (a, b) in fine.combos.iter().zip(&coarse.combos) {

@@ -66,6 +66,19 @@ impl Controller {
         self.remaining > 0
     }
 
+    /// Observations still due in the current probe window (0 outside one).
+    /// Each well-shaped [`Self::observe`] call inside a window consumes
+    /// one, whatever the predictions were, so a caller can tell ahead
+    /// which upcoming accesses will probe.
+    pub fn probes_remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Observations in a full probe window.
+    pub fn probe_window(&self) -> usize {
+        self.probe_window
+    }
+
     /// Signal from the transition detector.
     pub fn on_transition(&mut self) {
         self.transitions_handled += 1;

@@ -111,15 +111,38 @@ impl Pbot {
 
     /// Records the latest (offset, pc) for `page`.
     pub fn update(&mut self, page: u64, offset: u64, pc: u64) {
+        self.update_logged(page, offset, pc, None);
+    }
+
+    /// [`Pbot::update`], optionally logging every entry it overwrites or
+    /// evicts so that [`PbotTimeline`] can take the update back.
+    fn update_logged(
+        &mut self,
+        page: u64,
+        offset: u64,
+        pc: u64,
+        mut log: Option<&mut Vec<PbotUndo>>,
+    ) {
         self.clock += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&page) {
             // Evict the oldest half to amortize the scan.
             let mut stamps: Vec<u64> = self.map.values().map(|&(_, _, s)| s).collect();
             stamps.sort_unstable();
             let cutoff = stamps[stamps.len() / 2];
+            if let Some(log) = log.as_deref_mut() {
+                log.extend(
+                    self.map
+                        .iter()
+                        .filter(|(_, &(_, _, s))| s <= cutoff)
+                        .map(|(&p, &e)| (p, Some(e))),
+                );
+            }
             self.map.retain(|_, &mut (_, _, s)| s > cutoff);
         }
-        self.map.insert(page, (offset, pc, self.clock));
+        let prev = self.map.insert(page, (offset, pc, self.clock));
+        if let Some(log) = log {
+            log.push((page, prev));
+        }
     }
 
     /// Latest (offset, pc) recorded for `page`.
@@ -133,6 +156,85 @@ impl Pbot {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+impl PbotLookup for Pbot {
+    fn lookup(&self, page: u64) -> Option<(u64, u64)> {
+        self.get(page)
+    }
+}
+
+/// A chain's PBOT lookup: the latest (offset, pc) recorded for a page, as
+/// the table stood when the chained access was served. A live [`Pbot`]
+/// answers from its current contents; the look-ahead replay answers each
+/// planned access from a `PbotTimeline` position.
+pub trait PbotLookup {
+    fn lookup(&self, page: u64) -> Option<(u64, u64)>;
+}
+
+/// One logged PBOT change: a page and its entry before the change (`None`
+/// when the page was absent).
+type PbotUndo = (u64, Option<(u64, u64, u64)>);
+
+/// A window of PBOT updates applied with an undo log, so the table can be
+/// moved to its state after any prefix of the window — the state each
+/// planned access's chain must see — and back to the end, exactly (entry
+/// contents and the stamp clock alike; nothing in [`Pbot`] depends on the
+/// map's internal order). Moving costs one update or undo per position,
+/// never a copy of the table.
+#[derive(Debug, Default)]
+pub(crate) struct PbotTimeline {
+    /// The window's updates, `(page, offset, pc)`, in order.
+    updates: Vec<(u64, u64, u64)>,
+    /// How many of `updates` the table currently reflects.
+    applied: usize,
+    log: Vec<PbotUndo>,
+    /// `log` length before each applied update.
+    marks: Vec<usize>,
+}
+
+impl PbotTimeline {
+    /// Starts a new window at the table's current state.
+    pub fn reset(&mut self) {
+        self.updates.clear();
+        self.applied = 0;
+        self.log.clear();
+        self.marks.clear();
+    }
+
+    /// Updates in the current window.
+    pub fn len(&self) -> usize {
+        self.updates.len()
+    }
+
+    /// Appends an update to the window and moves the table to the
+    /// window's new end.
+    pub fn push(&mut self, pbot: &mut Pbot, page: u64, offset: u64, pc: u64) {
+        self.updates.push((page, offset, pc));
+        self.seek(pbot, self.updates.len());
+    }
+
+    /// Moves the table to its state after the window's first `k` updates.
+    pub fn seek(&mut self, pbot: &mut Pbot, k: usize) {
+        let k = k.min(self.updates.len());
+        while self.applied < k {
+            let (page, offset, pc) = self.updates[self.applied];
+            self.marks.push(self.log.len());
+            pbot.update_logged(page, offset, pc, Some(&mut self.log));
+            self.applied += 1;
+        }
+        while self.applied > k {
+            let mark = self.marks.pop().unwrap_or(0);
+            for (page, prev) in self.log.drain(mark..).rev() {
+                match prev {
+                    Some(e) => pbot.map.insert(page, e),
+                    None => pbot.map.remove(&page),
+                };
+            }
+            pbot.clock -= 1;
+            self.applied -= 1;
+        }
     }
 }
 
@@ -346,11 +448,13 @@ pub fn chain_prefetch_in(
     out
 }
 
-/// One stream's read-only inputs to a fused CSTP batch: the PBOT and the
-/// (full) block / page-token histories it would hand to
-/// [`chain_prefetch_in`].
+/// One stream's read-only inputs to a fused CSTP batch: its PBOT lookup
+/// and the (full) block / page-token histories it would hand to
+/// [`chain_prefetch_in`]. A serving stream passes its live [`Pbot`]; the
+/// look-ahead replay passes each planned access a lookup into the PBOT as
+/// it stood at that access.
 pub struct FusedChainItem<'a> {
-    pub pbot: &'a Pbot,
+    pub pbot: &'a dyn PbotLookup,
     pub block_hist: &'a [(u64, u64)],
     pub page_hist: &'a [(usize, u64)],
 }
@@ -456,7 +560,7 @@ pub fn chain_prefetch_fused(
                 l.active = false;
                 continue;
             };
-            let Some((offset, pbot_pc)) = items[i].pbot.get(next_page) else {
+            let Some((offset, pbot_pc)) = items[i].pbot.lookup(next_page) else {
                 l.ls.pbot_misses += 1;
                 l.active = false;
                 continue;
@@ -776,6 +880,40 @@ mod tests {
         assert!(p.len() <= 8);
         // Most recent pages survive.
         assert!(p.get(99).is_some());
+    }
+
+    #[test]
+    fn pbot_timeline_reaches_every_prefix_exactly() {
+        // A small table under a stream of 40 pages: evictions inside the
+        // window, overwrites of live pages, and a warm start.
+        let updates: Vec<(u64, u64, u64)> = (0..60u64)
+            .map(|i| ((i * 7) % 40, i % 64, 0x400 + i))
+            .collect();
+        let mut live = Pbot::new(8);
+        for &(p, o, pc) in &updates[..10] {
+            live.update(p, o, pc);
+        }
+        let start = live.clone();
+        let window = &updates[10..];
+        let mut timeline = PbotTimeline::default();
+        for &(p, o, pc) in window {
+            timeline.push(&mut live, p, o, pc);
+        }
+        // Visit prefixes out of order, in both directions.
+        for k in [0, 50, 3, 17, 16, 49, 1, 25, 0, 50] {
+            timeline.seek(&mut live, k);
+            let mut want = start.clone();
+            for &(p, o, pc) in &window[..k] {
+                want.update(p, o, pc);
+            }
+            assert_eq!(live.clock, want.clock, "prefix {k}");
+            let mut got: Vec<_> = live.map.iter().map(|(&p, &e)| (p, e)).collect();
+            let mut exp: Vec<_> = want.map.iter().map(|(&p, &e)| (p, e)).collect();
+            got.sort_unstable();
+            exp.sort_unstable();
+            assert_eq!(got, exp, "prefix {k}");
+        }
+        assert_eq!(timeline.len(), window.len());
     }
 
     #[test]

@@ -18,6 +18,12 @@ use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, segment_block};
 use mpgraph_prefetchers::TrainCfg;
 use rayon::prelude::*;
 
+/// Most windows one batched forward stacks, for both predictors: a
+/// larger (already deduplicated) batch runs as consecutive forwards of at
+/// most this many, which keeps each forward's activations cache-resident.
+/// Rows are independent, so the cut changes no output bit.
+pub const FUSED_BATCH_WINDOWS: usize = 8;
+
 /// Bidirectional delta↔label mapping over `[-range, +range] \ {0}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaRange {
@@ -450,6 +456,12 @@ impl DeltaPredictor {
                 let uniq = self.predict_deltas_batch_in(&unique, phase, k, s);
                 return lane_of.iter().map(|&i| uniq[i].clone()).collect();
             }
+        }
+        if batch > FUSED_BATCH_WINDOWS {
+            return hists
+                .chunks(FUSED_BATCH_WINDOWS)
+                .flat_map(|c| self.predict_deltas_batch_in(c, phase, k, s))
+                .collect();
         }
         let dr = DeltaRange {
             range: self.cfg.delta_range,

@@ -10,6 +10,7 @@
 
 use crate::amma::{AmmaConfig, ModalInput};
 use crate::backbone::{Backbone, Int8Model, Served};
+use crate::delta_predictor::FUSED_BATCH_WINDOWS;
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
 use mpgraph_ml::guard::{GuardAction, TrainGuard};
@@ -505,6 +506,12 @@ impl PagePredictor {
                 let uniq = self.predict_pages_batch_in(&unique, phase, k, s);
                 return lane_of.iter().map(|&i| uniq[i].clone()).collect();
             }
+        }
+        if batch > FUSED_BATCH_WINDOWS {
+            return hists
+                .chunks(FUSED_BATCH_WINDOWS)
+                .flat_map(|c| self.predict_pages_batch_in(c, phase, k, s))
+                .collect();
         }
         let mut logits = self.logits_batch_in(hists, phase, s);
         let out = match self.cfg.head {

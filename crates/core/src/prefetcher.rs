@@ -4,7 +4,10 @@
 //! drops into the simulator exactly where BO/ISB/Voyager/TransFetch do.
 
 use crate::controller::Controller;
-use crate::cstp::{chain_prefetch_in, CstpConfig, CstpStats, FusedChainResult, Pbot};
+use crate::cstp::{
+    chain_prefetch_fused, CstpConfig, CstpStats, FusedChainItem, FusedChainResult, Pbot,
+    PbotLookup, PbotTimeline,
+};
 use crate::delta_predictor::{DeltaPredictor, DeltaPredictorConfig};
 use crate::error::MpGraphError;
 use crate::page_predictor::{PagePredictor, PagePredictorConfig};
@@ -17,8 +20,15 @@ use mpgraph_phase::{
 };
 use mpgraph_prefetchers::mlcommon::History;
 use mpgraph_prefetchers::TrainCfg;
-use mpgraph_sim::{LlcAccess, PrefetchLane, PrefetchTag, Prefetcher, TraceEvent};
-use rayon::prelude::*;
+use mpgraph_sim::{LlcAccess, PrefetchTag, Prefetcher, TraceEvent};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+
+/// Announced LLC accesses planned per look-ahead window (DESIGN.md §19).
+/// Each window's model forwards run fused and deduplicated; a larger
+/// window finds more repeats and fuller batches but plans further ahead
+/// of the engine. Chosen by measurement on the quick matrix.
+pub const LOOKAHEAD_WINDOW: usize = 256;
 
 /// Steps between [`mpgraph_ml::TrainGuard`] weight checkpoints in the
 /// predictor training loops: frequent enough that a rollback loses little
@@ -135,13 +145,27 @@ pub struct MpGraphPrefetcher {
     /// Rolling CSTP counters (chain lengths, PBOT hit rate, duplicates
     /// suppressed), folded into the pipeline metrics snapshot.
     pub cstp_stats: CstpStats,
-    /// Scratch buffers for the CSTP spatial lane. Two arenas (not one) so
-    /// `rayon::join` can hand each concurrent lane a disjoint `&mut`.
-    spatial_arena: ScratchArena,
-    /// Scratch buffers for the CSTP temporal-chain lane.
-    temporal_arena: ScratchArena,
-    /// Per-candidate lane attribution of the last batch (reused scratch).
-    lane_scratch: Vec<PrefetchLane>,
+    /// Scratch buffers for every forward this prefetcher runs: the probe
+    /// forwards and the fused CSTP chains. One arena, kept for the
+    /// prefetcher's life, so steady-state inference allocates nothing.
+    arena: ScratchArena,
+    /// The planned window's PBOT updates, so each chain looks the PBOT up
+    /// as it stood right after its own access's update.
+    pbot_timeline: PbotTimeline,
+    /// Announced LLC accesses not planned yet
+    /// ([`Prefetcher::announce_llc_stream`]).
+    upcoming: VecDeque<LlcAccess>,
+    /// Planned accesses awaiting their `on_access`, in stream order.
+    planned: VecDeque<Planned>,
+    /// History windows of the planned accesses that run a chain, one
+    /// `block_hist.capacity()`-long slot each ([`Planned::slot`]).
+    block_windows: Vec<(u64, u64)>,
+    /// Page-history windows, parallel to `block_windows`.
+    page_windows: Vec<(usize, u64)>,
+    /// The phase model selected as of the last *served* access — what
+    /// [`Prefetcher::current_phase_id`] reports while the controller runs
+    /// ahead on planned accesses.
+    served_phase: usize,
     /// Tags the engine reads back via [`Prefetcher::last_batch_tags`].
     tag_scratch: Vec<PrefetchTag>,
     /// Structured trace-event buffering, engine-controlled
@@ -153,13 +177,53 @@ pub struct MpGraphPrefetcher {
     /// drains it via [`Prefetcher::pending_trace_events`]).
     trace_events: Vec<TraceEvent>,
     /// Whether the first traced access already reported the train-time
-    /// rollback summary (training predates the replay clock).
+    /// rollback summary (training predates the replay clock). Set once per
+    /// prefetcher, so a replay cut into segments reports it once.
     trace_started: bool,
     /// Structured rollback events drained from the training-side event
     /// channel ([`crate::TrainEventSink`]) at the end of `train_mpgraph`,
     /// in deterministic (predictor, model, step) order. Empty when the
     /// prefetcher was assembled via [`MpGraphPrefetcher::from_parts`].
     pub train_rollback_events: Vec<crate::obs::TrainRollbackMetrics>,
+}
+
+/// One LLC access planned ahead of its `on_access` (DESIGN.md §19): the
+/// stages of [`MpGraphPrefetcher::plan_window`] and
+/// [`MpGraphPrefetcher::chain_window`] fill it in, and
+/// [`MpGraphPrefetcher::serve_planned`] emits it.
+#[derive(Debug)]
+struct Planned {
+    /// (pc, block, core) of the access, checked against the one served.
+    key: (u64, u64, u8),
+    /// Slot of its history windows when both histories were full — i.e.
+    /// when a chain runs for it.
+    slot: Option<usize>,
+    /// Whether it scores the phase models in a probe window.
+    probes: bool,
+    /// Whether the detector confirmed a transition on it.
+    confirmed: bool,
+    /// Phase model selected once it is processed (its chain's phase).
+    phase: usize,
+    /// Its trace events, in emission order, minus the `CstpChain` summary.
+    events: Vec<TraceEvent>,
+    /// Its chain's outcome.
+    chain: FusedChainResult,
+}
+
+/// [`PbotLookup`] for one planned access: moves the window's shared
+/// timeline to just after that access's PBOT update, then looks up.
+struct PbotAt<'t, 'p> {
+    table: &'t RefCell<(&'p mut Pbot, &'p mut PbotTimeline)>,
+    after: usize,
+}
+
+impl PbotLookup for PbotAt<'_, '_> {
+    fn lookup(&self, page: u64) -> Option<(u64, u64)> {
+        let mut guard = self.table.borrow_mut();
+        let (pbot, timeline) = &mut *guard;
+        timeline.seek(pbot, self.after);
+        pbot.get(page)
+    }
 }
 
 /// Shared borrows of one prefetcher's models and chain state, handed to
@@ -209,25 +273,7 @@ pub fn train_mpgraph(
     let detector = build_detector(records, num_phases, cfg.detector);
     MpGraphPrefetcher {
         train_rollback_events: sink.drain(),
-        controller: Controller::new(num_phases, cfg.probe_window),
-        pbot: Pbot::new(cfg.pbot_capacity),
-        block_hist: History::new(tc.history),
-        page_hists: (0..8).map(|_| History::new(tc.history)).collect(),
-        delta,
-        page,
-        detector,
-        num_phases,
-        dp_distance: 0,
-        observe_errors: 0,
-        cstp_stats: CstpStats::default(),
-        spatial_arena: ScratchArena::new(),
-        temporal_arena: ScratchArena::new(),
-        lane_scratch: Vec::new(),
-        tag_scratch: Vec::new(),
-        trace_on: false,
-        trace_events: Vec::new(),
-        trace_started: false,
-        cfg,
+        ..MpGraphPrefetcher::from_parts(delta, page, detector, cfg, num_phases, tc.history)
     }
 }
 
@@ -282,9 +328,13 @@ impl MpGraphPrefetcher {
             dp_distance: 0,
             observe_errors: 0,
             cstp_stats: CstpStats::default(),
-            spatial_arena: ScratchArena::new(),
-            temporal_arena: ScratchArena::new(),
-            lane_scratch: Vec::new(),
+            arena: ScratchArena::new(),
+            pbot_timeline: PbotTimeline::default(),
+            upcoming: VecDeque::new(),
+            planned: VecDeque::new(),
+            block_windows: Vec::new(),
+            page_windows: Vec::new(),
+            served_phase: 0,
             tag_scratch: Vec::new(),
             trace_on: false,
             trace_events: Vec::new(),
@@ -294,9 +344,9 @@ impl MpGraphPrefetcher {
         }
     }
 
-    /// Selected phase model (introspection).
+    /// Phase model selected as of the last served access (introspection).
     pub fn current_phase(&self) -> usize {
-        self.controller.current_phase()
+        self.served_phase
     }
 
     /// Transitions the controller has acted on.
@@ -308,8 +358,8 @@ impl MpGraphPrefetcher {
     /// chain *between* [`Self::begin_access`] and
     /// [`Self::apply_fused_chain`]: shared borrows of the models, PBOT and
     /// histories, plus the phase the controller has already selected for
-    /// this access. `core` picks the per-core page history, exactly as the
-    /// inline path does.
+    /// this access. `core` picks the per-core page history, exactly as
+    /// `on_access` does.
     pub(crate) fn fused_view(&self, core: u8) -> FusedAccessView<'_> {
         FusedAccessView {
             delta: &self.delta,
@@ -379,22 +429,22 @@ impl MpGraphPrefetcher {
         self.delta.is_quantized() && self.page.is_quantized()
     }
 
-    /// Commits one stream's share of a fused CSTP batch, reproducing the
-    /// inline path's epilogue exactly: stats merge, lane attribution, the
-    /// `CstpChain` trace event, distance-prefetch shift, and the append to
-    /// `out`. Must follow the [`Self::begin_access`] that opened this
-    /// access, with no other calls on this prefetcher in between.
+    /// Commits one stream's share of a fused CSTP batch through the same
+    /// epilogue every access takes ([`Self::serve_planned`]): stats merge,
+    /// lane attribution, the `CstpChain` trace event, distance-prefetch
+    /// shift, and the append to `out`. Must follow the
+    /// [`Self::begin_access`] that opened this access, with no other calls
+    /// on this prefetcher in between.
     pub(crate) fn apply_fused_chain(
         &mut self,
         a: &LlcAccess,
         res: FusedChainResult,
         out: &mut Vec<u64>,
     ) {
-        let before = self.trace_on.then_some(self.cstp_stats);
-        self.cstp_stats.merge(&res.stats);
-        self.lane_scratch.clear();
-        self.lane_scratch.extend(res.lanes);
-        self.finish_access(a, res.batch, before, out);
+        if let Some(p) = self.planned.front_mut() {
+            p.chain = res;
+        }
+        self.serve_planned(a, out);
     }
 
     /// Folds the counters this prefetcher owns — CSTP, detector,
@@ -439,13 +489,23 @@ impl Prefetcher for MpGraphPrefetcher {
     }
 
     fn current_phase_id(&self) -> u8 {
-        self.controller.current_phase() as u8
+        self.served_phase as u8
     }
 
     fn enable_trace_events(&mut self, on: bool) {
         self.trace_on = on;
-        self.trace_started = false;
         self.trace_events.clear();
+    }
+
+    fn announce_llc_stream(&mut self, upcoming: &[MemRecord]) {
+        self.upcoming.extend(upcoming.iter().map(|r| LlcAccess {
+            pc: r.pc,
+            block: r.block(),
+            core: r.core,
+            is_write: r.is_write,
+            hit: false,
+            cycle: 0,
+        }));
     }
 
     fn pending_trace_events(&self) -> &[TraceEvent] {
@@ -460,168 +520,278 @@ impl Prefetcher for MpGraphPrefetcher {
         Some(self)
     }
 
+    /// Serves the next planned access, planning a window first when none
+    /// is queued: the next [`LOOKAHEAD_WINDOW`] announced accesses, or —
+    /// with nothing announced — this access alone. Both run the same
+    /// staged code (DESIGN.md §19); inference never reads `hit` or `cycle`,
+    /// so planning ahead changes no output.
     fn on_access(&mut self, a: &LlcAccess, out: &mut Vec<u64>) {
-        // The access is split into begin (detector, histories, probing) /
-        // chain / finish (attribution, events, distance shift) so the
-        // serving layer can interleave many streams' chains into one fused
-        // forward between the same begin and finish steps. Composing the
-        // three here IS the inline path — the two routes cannot drift.
-        if !self.begin_access(a) {
-            return;
+        if self.planned.is_empty() {
+            let window: Vec<LlcAccess> = if self.upcoming.is_empty() {
+                vec![*a]
+            } else {
+                let n = LOOKAHEAD_WINDOW.min(self.upcoming.len());
+                self.upcoming.drain(..n).collect()
+            };
+            self.plan_window(&window);
+            self.chain_window();
         }
-        let phase = self.controller.current_phase();
-        // `CstpStats` is `Copy`: snapshot before the chain call so the
-        // per-batch deltas can be emitted as one summary event.
-        let cstp_before = self.trace_on.then_some(self.cstp_stats);
-        let batch = chain_prefetch_in(
-            &self.delta,
-            &self.page,
-            &self.pbot,
-            self.block_hist.items(),
-            self.page_hists[(a.core as usize) % 8].items(),
-            phase,
-            &self.cfg.cstp,
-            &mut self.spatial_arena,
-            &mut self.temporal_arena,
-            &mut self.lane_scratch,
-            &mut self.cstp_stats,
-        );
-        self.finish_access(a, batch, cstp_before, out);
+        self.serve_planned(a, out);
     }
 }
 
 impl MpGraphPrefetcher {
-    /// Steps a–d of an access — everything up to (but excluding) the CSTP
-    /// chain: trace-buffer reset, phase detection, history/PBOT updates,
-    /// and probe-window scoring. Returns whether the histories are full,
-    /// i.e. whether a chain should run for this access.
+    /// Opens one access for the serving layer, which runs its chain fused
+    /// with other streams' between this call and
+    /// [`Self::apply_fused_chain`]: stages a–b of a one-access window.
+    /// Returns whether a chain should run (the histories are full); when
+    /// not, the access is already served.
     pub(crate) fn begin_access(&mut self, a: &LlcAccess) -> bool {
-        // Invalidate the previous batch's attribution up front so early
-        // returns never leave tags aligned with a stale batch.
-        self.tag_scratch.clear();
-        if self.trace_on {
-            self.trace_events.clear();
-            if !self.trace_started {
+        self.plan_window(std::slice::from_ref(a));
+        let ready = self.planned.back().is_some_and(|p| p.slot.is_some());
+        if ready {
+            self.served_phase = self.controller.current_phase();
+        } else {
+            self.serve_planned(a, &mut Vec::new());
+        }
+        ready
+    }
+
+    /// Stages a and b of the look-ahead replay over `window`, queueing one
+    /// [`Planned`] per access. Stage a takes the sequential cheap state
+    /// access by access — detector, histories, PBOT updates (through the
+    /// timeline) — and decides which accesses probe, which depends only on
+    /// detector confirmations and full histories, never on probe outputs.
+    /// Stage b batches the probe forwards per phase model, then re-drives
+    /// the controller in access order to fix each access's phase.
+    fn plan_window(&mut self, window: &[LlcAccess]) {
+        debug_assert!(self.planned.is_empty(), "previous window not served");
+        self.pbot_timeline.reset();
+        self.block_windows.clear();
+        self.page_windows.clear();
+        let mut slots = 0;
+        let mut probes_left = self.controller.probes_remaining();
+        for a in window {
+            let mut events = Vec::new();
+            if self.trace_on && !self.trace_started {
                 // Training happened before the replay clock existed, so
                 // its rollback summary is stamped on the first traced
                 // access (DESIGN.md §13).
                 self.trace_started = true;
-                self.trace_events.push(TraceEvent::TrainRollback {
+                events.push(TraceEvent::TrainRollback {
                     count: self.delta.train_rollbacks + self.page.train_rollbacks,
                 });
             }
-        }
-
-        // 1. Phase detection on the PC stream. When tracing, soft-detector
-        //    arms are derived from the stats delta so all four detector
-        //    implementations report them without individual instrumentation.
-        let prev_soft_arms = if self.trace_on {
-            self.detector.stats().soft_arms
-        } else {
-            0
-        };
-        let confirmed = self.detector.update(a.pc);
-        if self.trace_on && self.detector.stats().soft_arms > prev_soft_arms {
-            self.trace_events.push(TraceEvent::PhaseArmed);
-        }
-        if confirmed {
-            if self.trace_on {
-                self.trace_events.push(TraceEvent::PhaseConfirmed {
-                    prev_phase: self.controller.current_phase() as u8,
-                });
+            // Phase detection on the PC stream. When tracing, soft-detector
+            // arms are derived from the stats delta so all four detector
+            // implementations report them without individual instrumentation.
+            let prev_soft_arms = if self.trace_on {
+                self.detector.stats().soft_arms
+            } else {
+                0
+            };
+            let confirmed = self.detector.update(a.pc);
+            if self.trace_on && self.detector.stats().soft_arms > prev_soft_arms {
+                events.push(TraceEvent::PhaseArmed);
             }
-            self.controller.on_transition();
+            self.block_hist.push((a.block, a.pc));
+            let page_hist = &mut self.page_hists[(a.core as usize) % 8];
+            page_hist.push((self.page.vocab.token_of(a.page()), a.pc));
+            self.pbot_timeline
+                .push(&mut self.pbot, a.page(), a.offset(), a.pc);
+            let slot = (self.block_hist.is_full() && page_hist.is_full()).then(|| {
+                self.block_windows
+                    .extend_from_slice(self.block_hist.items());
+                self.page_windows.extend_from_slice(page_hist.items());
+                slots += 1;
+                slots - 1
+            });
+            if confirmed {
+                probes_left = self.controller.probe_window();
+            }
+            let probes = slot.is_some() && probes_left > 0;
+            if probes {
+                probes_left -= 1;
+            }
+            self.planned.push_back(Planned {
+                key: (a.pc, a.block, a.core),
+                slot,
+                probes,
+                confirmed,
+                phase: 0,
+                events,
+                chain: FusedChainResult::default(),
+            });
         }
 
-        // 2. Histories and PBOT.
-        self.block_hist.push((a.block, a.pc));
-        let page_hist = &mut self.page_hists[(a.core as usize) % 8];
-        page_hist.push((self.page.vocab.token_of(a.page()), a.pc));
-        self.pbot.update(a.page(), a.offset(), a.pc);
-        if !self.block_hist.is_full() || !page_hist.is_full() {
-            return false;
-        }
-
-        // 3. During a probe window, score every phase model's predictions
-        //    against the demand stream and let the controller pick. Every
-        //    phase model runs concurrently (`par_iter` preserves phase
-        //    order); probing is rare — a short window after each detected
-        //    transition — so each closure takes a fresh throwaway arena
-        //    rather than pre-warming one per phase.
-        if self.controller.probing() {
-            let phases: Vec<usize> = (0..self.num_phases).collect();
-            let delta = &self.delta;
-            let block_hist = self.block_hist.items();
-            let spatial_degree = self.cfg.cstp.spatial_degree;
-            let block = a.block;
-            let preds: Vec<Vec<u64>> = phases
-                .par_iter()
-                .map(move |&p| {
-                    let mut arena = ScratchArena::new();
-                    delta
-                        .predict_deltas_in(block_hist, p, spatial_degree, &mut arena)
-                        .into_iter()
-                        .filter_map(|d| {
-                            let t = block as i64 + d;
-                            (t >= 0).then_some(t as u64)
+        // Stage b. During a probe window every phase model's predictions
+        // are scored against the demand stream: per phase model, one
+        // batched forward over all of the window's probing accesses.
+        let bt = self.block_hist.capacity();
+        let probing: Vec<(&[(u64, u64)], u64)> = self
+            .planned
+            .iter()
+            .filter(|p| p.probes)
+            .filter_map(|p| Some((&self.block_windows[p.slot? * bt..][..bt], p.key.1)))
+            .collect();
+        let hists: Vec<&[(u64, u64)]> = probing.iter().map(|&(h, _)| h).collect();
+        let mut per_phase: Vec<Vec<Vec<u64>>> = Vec::new();
+        if !probing.is_empty() {
+            for phase in 0..self.num_phases {
+                let ds = self.delta.predict_deltas_batch_in(
+                    &hists,
+                    phase,
+                    self.cfg.cstp.spatial_degree,
+                    &mut self.arena,
+                );
+                per_phase.push(
+                    ds.into_iter()
+                        .zip(&probing)
+                        .map(|(ds, &(_, block))| {
+                            ds.into_iter()
+                                .filter_map(|d| {
+                                    let t = block as i64 + d;
+                                    (t >= 0).then_some(t as u64)
+                                })
+                                .collect()
                         })
-                        .collect()
-                })
-                .collect();
-            match self.controller.observe(a.block, &preds) {
-                Ok(Some(_)) => {
-                    // Probe window complete: a phase model was selected.
-                    if self.trace_on {
-                        self.trace_events.push(TraceEvent::PhaseSelected {
-                            phase: self.controller.current_phase() as u8,
-                        });
+                        .collect(),
+                );
+            }
+        }
+        let mut next_probe = 0;
+        for p in self.planned.iter_mut() {
+            if p.confirmed {
+                if self.trace_on {
+                    p.events.push(TraceEvent::PhaseConfirmed {
+                        prev_phase: self.controller.current_phase() as u8,
+                    });
+                }
+                self.controller.on_transition();
+            }
+            debug_assert_eq!(p.probes, p.slot.is_some() && self.controller.probing());
+            if p.probes {
+                let preds: Vec<Vec<u64>> = per_phase
+                    .iter_mut()
+                    .map(|ph| std::mem::take(&mut ph[next_probe]))
+                    .collect();
+                next_probe += 1;
+                match self.controller.observe(p.key.1, &preds) {
+                    Ok(Some(_)) => {
+                        // Probe window complete: a phase model was selected.
+                        if self.trace_on {
+                            p.events.push(TraceEvent::PhaseSelected {
+                                phase: self.controller.current_phase() as u8,
+                            });
+                        }
+                    }
+                    Ok(None) => {}
+                    Err(_) => {
+                        // Malformed batch (possible only if predictor and
+                        // controller shapes drift): drop it, keep replaying.
+                        self.observe_errors += 1;
                     }
                 }
-                Ok(None) => {}
-                Err(_) => {
-                    // Malformed batch (possible only if predictor and
-                    // controller shapes drift): drop it, keep replaying.
-                    self.observe_errors += 1;
-                }
             }
+            p.phase = self.controller.current_phase();
         }
-
-        true
     }
 
-    /// Epilogue of an access, with the chain already run: `batch` is the
-    /// chain's candidate list, `self.lane_scratch` its lane attribution,
-    /// and `before` the `cstp_stats` snapshot taken before the chain (only
-    /// when tracing). Emits the `CstpChain` event, stamps the batch tags,
-    /// applies the distance-prefetch shift, and appends to `out`.
-    pub(crate) fn finish_access(
-        &mut self,
-        a: &LlcAccess,
-        mut batch: Vec<u64>,
-        before: Option<CstpStats>,
-        out: &mut Vec<u64>,
-    ) {
-        if let Some(b) = before {
-            let steps = self.cstp_stats.chain_steps - b.chain_steps;
-            let hits = self.cstp_stats.pbot_hits - b.pbot_hits;
-            let misses = self.cstp_stats.pbot_misses - b.pbot_misses;
-            if steps | hits | misses != 0 {
-                self.trace_events.push(TraceEvent::CstpChain {
-                    steps: steps.min(255) as u8,
-                    pbot_hits: hits.min(255) as u8,
-                    pbot_misses: misses.min(255) as u8,
-                });
+    /// Stage c: the planned window's CSTP chains, grouped by phase and run
+    /// through [`chain_prefetch_fused`] — fused, deduplicated forwards
+    /// whose rows each depend on their own inputs alone. Every chain's
+    /// PBOT lookups see the table as it stood right after its own access's
+    /// update; the table ends the window fully updated.
+    fn chain_window(&mut self) {
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (i, p) in self.planned.iter().enumerate() {
+            if p.slot.is_none() {
+                continue;
+            }
+            match groups.iter_mut().find(|(phase, _)| *phase == p.phase) {
+                Some((_, members)) => members.push(i),
+                None => groups.push((p.phase, vec![i])),
             }
         }
-        // Nothing between the chain and here touches the controller, so
-        // this is the same phase the chain ran with.
-        let phase = self.controller.current_phase();
+        let (bt, pt) = (self.block_hist.capacity(), self.page_hists[0].capacity());
+        let end = self.pbot_timeline.len();
+        let table = RefCell::new((&mut self.pbot, &mut self.pbot_timeline));
+        let mut forwards = 0u64;
+        for (phase, members) in &groups {
+            let lookups: Vec<PbotAt<'_, '_>> = members
+                .iter()
+                .map(|&i| PbotAt {
+                    table: &table,
+                    after: i + 1,
+                })
+                .collect();
+            let items: Vec<FusedChainItem<'_>> = members
+                .iter()
+                .zip(&lookups)
+                .filter_map(|(&i, pbot)| {
+                    let s = self.planned[i].slot?;
+                    Some(FusedChainItem {
+                        pbot,
+                        block_hist: &self.block_windows[s * bt..][..bt],
+                        page_hist: &self.page_windows[s * pt..][..pt],
+                    })
+                })
+                .collect();
+            let results = chain_prefetch_fused(
+                &self.delta,
+                &self.page,
+                &items,
+                *phase,
+                &self.cfg.cstp,
+                &mut self.arena,
+                &mut forwards,
+            );
+            for (&i, r) in members.iter().zip(results) {
+                self.planned[i].chain = r;
+            }
+        }
+        let (pbot, timeline) = table.into_inner();
+        timeline.seek(pbot, end);
+    }
+
+    /// Stage d: pops the next planned access and emits it — its trace
+    /// events, the `CstpChain` summary, stats, lane tags, distance shift
+    /// and candidates. `a` must be the access it was planned for.
+    fn serve_planned(&mut self, a: &LlcAccess, out: &mut Vec<u64>) {
+        let Some(mut p) = self.planned.pop_front() else {
+            return;
+        };
+        assert_eq!(
+            p.key,
+            (a.pc, a.block, a.core),
+            "MPGraph was served an access other than the one announced next"
+        );
+        self.tag_scratch.clear();
+        self.trace_events.clear();
+        self.trace_events.append(&mut p.events);
+        self.served_phase = p.phase;
+        if p.slot.is_none() {
+            return;
+        }
+        let FusedChainResult {
+            mut batch,
+            lanes,
+            stats,
+        } = p.chain;
+        if self.trace_on && stats.chain_steps | stats.pbot_hits | stats.pbot_misses != 0 {
+            self.trace_events.push(TraceEvent::CstpChain {
+                steps: stats.chain_steps.min(255) as u8,
+                pbot_hits: stats.pbot_hits.min(255) as u8,
+                pbot_misses: stats.pbot_misses.min(255) as u8,
+            });
+        }
+        self.cstp_stats.merge(&stats);
         // The dp_distance shift below rewrites targets but never reorders
         // or drops candidates, so the lane attribution stays aligned.
         self.tag_scratch
-            .extend(self.lane_scratch.iter().map(|&l| PrefetchTag {
-                phase: phase as u8,
-                lane: l,
+            .extend(lanes.iter().map(|&lane| PrefetchTag {
+                phase: p.phase as u8,
+                lane,
             }));
         if self.dp_distance != 0 {
             // Distance prefetching: project each prediction further ahead
@@ -794,10 +964,12 @@ mod tests {
         let train = workload(1);
         let (cfg, tc) = quick_cfg();
         let mut pf = train_mpgraph(&train, 2, cfg, &tc);
-        let test = workload(1);
+        let test = workload(2);
         let mut out = Vec::new();
+        let (mut probed, mut warm_misses) = (0usize, None);
         for r in &test {
             out.clear();
+            let observations = pf.controller.observations;
             pf.on_access(
                 &LlcAccess {
                     pc: r.pc,
@@ -809,11 +981,136 @@ mod tests {
                 },
                 &mut out,
             );
+            if pf.controller.observations > observations {
+                // A probing access: after the first, the prefetcher's
+                // arena serves every forward from its pools.
+                probed += 1;
+                let misses = pf.arena.stats().1;
+                match warm_misses {
+                    None => warm_misses = Some(misses),
+                    Some(w) => assert_eq!(misses, w, "probe arena allocated at probe {probed}"),
+                }
+            }
         }
+        assert!(probed > cfg.probe_window, "only {probed} probing accesses");
         // After running through phase 1's region the controller should have
         // settled on a phase id (either, but it must have probed).
         assert!(pf.transitions_handled() >= 1);
         assert!(pf.current_phase() < 2);
+    }
+
+    /// Forwards every call but the stream announcement, so the wrapped
+    /// prefetcher serves each access through a window of one.
+    struct PerAccess(MpGraphPrefetcher);
+
+    impl Prefetcher for PerAccess {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn on_access(&mut self, a: &LlcAccess, out: &mut Vec<u64>) {
+            self.0.on_access(a, out)
+        }
+        fn last_batch_tags(&self) -> &[PrefetchTag] {
+            self.0.last_batch_tags()
+        }
+        fn current_phase_id(&self) -> u8 {
+            self.0.current_phase_id()
+        }
+        fn enable_trace_events(&mut self, on: bool) {
+            self.0.enable_trace_events(on)
+        }
+        fn pending_trace_events(&self) -> &[TraceEvent] {
+            self.0.pending_trace_events()
+        }
+    }
+
+    /// What a host sees of one access: the phase reported before it (the
+    /// engine attributes demand misses with it), then the batch, its tags
+    /// and its trace events.
+    type Served = (u8, Vec<u64>, Vec<PrefetchTag>, Vec<TraceEvent>);
+
+    /// Announces `stream` in chunks cut at `cuts`, serving each chunk
+    /// before announcing the next, as the engine does per segment.
+    fn drive(pf: &mut dyn Prefetcher, stream: &[MemRecord], cuts: &[usize]) -> Vec<Served> {
+        pf.enable_trace_events(true);
+        let mut served = Vec::new();
+        let mut start = 0;
+        for &end in cuts.iter().chain(std::iter::once(&stream.len())) {
+            pf.announce_llc_stream(&stream[start..end]);
+            for r in &stream[start..end] {
+                let phase = pf.current_phase_id();
+                let mut out = Vec::new();
+                pf.on_access(
+                    &LlcAccess {
+                        pc: r.pc,
+                        block: r.block(),
+                        core: r.core,
+                        is_write: r.is_write,
+                        hit: false,
+                        cycle: 0,
+                    },
+                    &mut out,
+                );
+                served.push((
+                    phase,
+                    out,
+                    pf.last_batch_tags().to_vec(),
+                    pf.pending_trace_events().to_vec(),
+                ));
+            }
+            start = end;
+        }
+        served
+    }
+
+    #[test]
+    fn lookahead_windows_match_per_access_replay() {
+        // PBOT capacity 8 against the workload's 11 distinct pages keeps
+        // evictions landing inside windows; two cores give the per-core
+        // page histories different fill times.
+        let train = workload(1);
+        let (mut cfg, tc) = quick_cfg();
+        cfg.pbot_capacity = 8;
+        // Training is deterministic: each call builds an identical twin.
+        let fresh = || train_mpgraph(&train, 2, cfg, &tc);
+        let mut stream = workload(3);
+        for (i, r) in stream.iter_mut().enumerate() {
+            r.core = (i % 7 == 0) as u8;
+        }
+        let mut reference = PerAccess(fresh());
+        let expected = drive(&mut reference, &stream, &[]);
+        // Transitions, and a window edge inside the probe window after the
+        // first of them.
+        let confirmed: Vec<usize> = (0..expected.len())
+            .filter(|&i| {
+                expected[i]
+                    .3
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::PhaseConfirmed { .. }))
+            })
+            .collect();
+        assert!(confirmed.len() >= 2, "transitions at {confirmed:?}");
+        let straddle = confirmed[0] + cfg.probe_window / 2;
+        for cuts in [vec![], vec![straddle], vec![5, 130, straddle, straddle + 1]] {
+            let mut windowed = fresh();
+            let got = drive(&mut windowed, &stream, &cuts);
+            assert_eq!(got.len(), expected.len());
+            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(g, e, "access {i}, cuts {cuts:?}");
+            }
+            let r = &reference.0;
+            assert_eq!(windowed.cstp_stats, r.cstp_stats, "cuts {cuts:?}");
+            let (mut a, mut b) = Default::default();
+            windowed.enrich_snapshot(&mut a);
+            r.enrich_snapshot(&mut b);
+            assert_eq!(
+                format!("{:?}", (&a.detector, &a.controller, &a.cstp)),
+                format!("{:?}", (&b.detector, &b.controller, &b.cstp)),
+                "cuts {cuts:?}"
+            );
+            assert_eq!(windowed.pbot.len(), r.pbot.len());
+            assert!(r.cstp_stats.pbot_hits > 0 && r.cstp_stats.pbot_misses > 0);
+        }
     }
 
     #[test]
@@ -892,6 +1189,7 @@ mod tests {
         // for both phase models, steady-state arenas included.
         let page_items: Vec<(usize, u64)> = pf.page_hists[0].items().to_vec();
         let mut lanes = Vec::new();
+        let (mut spatial_arena, mut temporal_arena) = (ScratchArena::new(), ScratchArena::new());
         for phase in [0usize, 1] {
             for _ in 0..3 {
                 let mut serial_stats = CstpStats::default();
@@ -906,7 +1204,7 @@ mod tests {
                     &mut serial_stats,
                 );
                 let mut parallel_stats = CstpStats::default();
-                let parallel = chain_prefetch_in(
+                let parallel = crate::cstp::chain_prefetch_in(
                     &pf.delta,
                     &pf.page,
                     &pf.pbot,
@@ -914,8 +1212,8 @@ mod tests {
                     &page_items,
                     phase,
                     &cfg.cstp,
-                    &mut pf.spatial_arena,
-                    &mut pf.temporal_arena,
+                    &mut spatial_arena,
+                    &mut temporal_arena,
                     &mut lanes,
                     &mut parallel_stats,
                 );

@@ -17,6 +17,7 @@
 use crate::cache::{Cache, CacheStats, Lookup};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::fault::{FaultInjector, FaultStats};
+use crate::filter::{private_step, PrivateOutcome};
 use crate::obs::{DropReason, PrefetchObserver};
 use crate::prefetch::{LlcAccess, PrefetchTag, Prefetcher};
 use mpgraph_frameworks::MemRecord;
@@ -244,6 +245,10 @@ pub struct SimSession {
     // Candidate attribution copied out of the prefetcher each access (the
     // prefetcher's tag buffer is invalidated by its next on_access call).
     tag_scratch: Vec<PrefetchTag>,
+    // A fault-free segment's private-hierarchy outcomes, computed before
+    // its replay, and the LLC records among them (the announced stream).
+    private_outcomes: Vec<PrivateOutcome>,
+    llc_stream: Vec<MemRecord>,
 }
 
 impl SimSession {
@@ -271,6 +276,8 @@ impl SimSession {
             pf_candidates: Vec::with_capacity(16),
             misfire_scratch: Vec::new(),
             tag_scratch: Vec::with_capacity(16),
+            private_outcomes: Vec::new(),
+            llc_stream: Vec::new(),
         }
     }
 
@@ -283,6 +290,13 @@ impl SimSession {
     /// previous segment left behind. The prefetcher, fault injector, and
     /// observer are handed in per segment (they are the caller-owned half
     /// of the hand-off); observer record indices continue globally.
+    ///
+    /// Without a fault injector, the segment's private-cache step runs
+    /// first, over the session's own L1/L2 state, and the records that
+    /// reach the LLC are announced to the prefetcher
+    /// ([`Prefetcher::announce_llc_stream`]) before the replay loop, which
+    /// then reads each record's recorded outcome. L1 and L2 see demand
+    /// accesses only, so taking that step ahead changes no state.
     pub fn run_segment(
         &mut self,
         segment: &[MemRecord],
@@ -297,8 +311,23 @@ impl SimSession {
         let tracing = obs.as_deref().is_some_and(|o| o.wants_trace_events());
         prefetcher.enable_trace_events(tracing);
 
-        for (ri, raw) in segment.iter().enumerate() {
-            let ri = self.records_done + ri as u64;
+        let announced = faults.is_none();
+        self.private_outcomes.clear();
+        self.llc_stream.clear();
+        if announced {
+            for r in segment {
+                let core = &mut self.cores[(r.core as usize).min(cfg.num_cores - 1)];
+                let outcome = private_step(&mut core.l1, &mut core.l2, r.block(), r.is_write);
+                if outcome == PrivateOutcome::Llc {
+                    self.llc_stream.push(*r);
+                }
+                self.private_outcomes.push(outcome);
+            }
+            prefetcher.announce_llc_stream(&self.llc_stream);
+        }
+
+        for (i, raw) in segment.iter().enumerate() {
+            let ri = self.records_done + i as u64;
             if tracing {
                 if let Some(o) = obs.as_deref_mut() {
                     o.on_record(ri);
@@ -340,19 +369,20 @@ impl SimSession {
                 }
             }
 
-            // ------------------------- L1 -------------------------
-            if core.l1.access(block, r.is_write) != Lookup::Miss {
+            // ---------------------- L1 / L2 -----------------------
+            let outcome = if announced {
+                self.private_outcomes[i]
+            } else {
+                private_step(&mut core.l1, &mut core.l2, block, r.is_write)
+            };
+            if outcome == PrivateOutcome::L1Hit {
                 if !r.is_write {
                     core.prev_load_done = core.cycle + cfg.l1_latency;
                 }
                 continue; // pipelined L1 hit: no retire stall
             }
-            let mut t = core.cycle + cfg.l1_latency;
-
-            // ------------------------- L2 -------------------------
-            t += cfg.l2_latency;
-            if core.l2.access(block, false) != Lookup::Miss {
-                core.l1.insert(block, false, r.is_write);
+            let mut t = core.cycle + cfg.l1_latency + cfg.l2_latency;
+            if outcome == PrivateOutcome::L2Hit {
                 if !r.is_write {
                     core.outstanding.push(std::cmp::Reverse(t));
                     core.prev_load_done = t;
@@ -418,8 +448,6 @@ impl SimSession {
                     done
                 }
             };
-            core.l2.insert(block, false, false);
-            core.l1.insert(block, false, r.is_write);
             if !r.is_write {
                 core.outstanding.push(std::cmp::Reverse(completion));
                 core.prev_load_done = completion;

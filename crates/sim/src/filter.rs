@@ -31,19 +31,41 @@ pub fn llc_filter_indexed(trace: &[MemRecord], cfg: &SimConfig) -> Vec<(usize, M
     let mut out = Vec::new();
     for (i, r) in trace.iter().enumerate() {
         let core = (r.core as usize).min(cfg.num_cores - 1);
-        let block = r.block();
-        if l1[core].access(block, r.is_write) != Lookup::Miss {
-            continue;
+        if private_step(&mut l1[core], &mut l2[core], r.block(), r.is_write) == PrivateOutcome::Llc
+        {
+            out.push((i, *r));
         }
-        if l2[core].access(block, false) != Lookup::Miss {
-            l1[core].insert(block, false, r.is_write);
-            continue;
-        }
-        l2[core].insert(block, false, false);
-        l1[core].insert(block, false, r.is_write);
-        out.push((i, *r));
     }
     out
+}
+
+/// Where a core's private hierarchy served one demand access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrivateOutcome {
+    L1Hit,
+    L2Hit,
+    /// Missed both private levels: the access reaches the shared LLC.
+    Llc,
+}
+
+/// One demand access through a core's private L1 and L2: the lookups plus
+/// the demand fills. The simulator's replay loop and [`llc_filter`] both
+/// take this step, so the LLC stream they see cannot drift apart. The
+/// private levels are filled only on demand (prefetches land in the LLC),
+/// so every outcome is a function of the core's record stream alone —
+/// which is what lets [`crate::SimSession`] compute a segment's LLC stream
+/// before replaying it.
+pub fn private_step(l1: &mut Cache, l2: &mut Cache, block: u64, is_write: bool) -> PrivateOutcome {
+    if l1.access(block, is_write) != Lookup::Miss {
+        return PrivateOutcome::L1Hit;
+    }
+    if l2.access(block, false) != Lookup::Miss {
+        l1.insert(block, false, is_write);
+        return PrivateOutcome::L2Hit;
+    }
+    l2.insert(block, false, false);
+    l1.insert(block, false, is_write);
+    PrivateOutcome::Llc
 }
 
 #[cfg(test)]
@@ -76,17 +98,53 @@ mod tests {
         assert_eq!(f.len(), 100);
     }
 
+    /// Records what the engine presents to a prefetcher: the announced
+    /// stream and the `on_access` sequence.
+    #[derive(Default)]
+    struct Recorder {
+        announced: Vec<(u64, u64, u8)>,
+        accessed: Vec<(u64, u64, u8)>,
+    }
+    impl crate::Prefetcher for Recorder {
+        fn name(&self) -> String {
+            "recorder".into()
+        }
+        fn on_access(&mut self, a: &crate::LlcAccess, _out: &mut Vec<u64>) {
+            self.accessed.push((a.pc, a.block, a.core));
+        }
+        fn announce_llc_stream(&mut self, upcoming: &[MemRecord]) {
+            self.announced
+                .extend(upcoming.iter().map(|r| (r.pc, r.block(), r.core)));
+        }
+    }
+
     #[test]
     fn filter_matches_simulator_llc_access_count() {
-        // The filter's output length must equal the engine's LLC access
-        // counter on the same trace: they share the hierarchy logic.
+        // The filter's output must be exactly the access sequence the
+        // engine presents at the LLC — and announces ahead — even when the
+        // replay is cut into segments that carry warm private caches over:
+        // both take the same private-hierarchy step.
         let trace: Vec<MemRecord> = (0..5000)
-            .map(|i| rec(0x10_0000 + (i * 37 % 3000) * 64, (i % 4) as u8))
+            .map(|i| {
+                let mut r = rec(0x10_0000 + (i * 37 % 3000) * 64, (i % 4) as u8);
+                r.pc = 0x40_0000 + (i % 7) * 4;
+                r
+            })
             .collect();
         let cfg = SimConfig::default();
         let f = llc_filter(&trace, &cfg);
         let r = crate::engine::simulate(&trace, &mut crate::prefetch::NullPrefetcher, &cfg);
         assert_eq!(f.len() as u64, r.llc.accesses());
+        let expected: Vec<(u64, u64, u8)> = f.iter().map(|r| (r.pc, r.block(), r.core)).collect();
+        let mut session = crate::SimSession::new(&cfg);
+        let mut pf = Recorder::default();
+        for seg in [&trace[..1_700], &trace[1_700..3_900], &trace[3_900..]] {
+            session.run_segment(seg, &mut pf, None, None);
+        }
+        let seg = session.finish(&pf, None);
+        assert_eq!(seg.llc.accesses(), r.llc.accesses());
+        assert_eq!(pf.accessed, expected);
+        assert_eq!(pf.announced, expected);
     }
 
     #[test]

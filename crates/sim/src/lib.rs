@@ -41,7 +41,7 @@ pub use engine::{
     simulate, simulate_observed, simulate_with_faults, SimConfig, SimResult, SimSession,
 };
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultStats};
-pub use filter::{llc_filter, llc_filter_indexed};
+pub use filter::{llc_filter, llc_filter_indexed, private_step, PrivateOutcome};
 pub use obs::{DropReason, PrefetchObserver};
 pub use prefetch::{
     LlcAccess, NullPrefetcher, PrefetchLane, PrefetchTag, Prefetcher, BLOCK_BITS, BLOCK_OFFSET_MASK,
