@@ -15,15 +15,21 @@
 //! points (full score rankings). Two-layer AMMA, AMMA-PI and Attention
 //! backbones (f32 and int8) and a trained two-layer AMMA delta predictor
 //! pin the stacks where a non-final transformer layer feeds the final one.
+//! Distilled students (phase-specific and single delta students, Softmax
+//! and BinaryEncoded page students from a Softmax teacher) pin the
+//! distillation training loops through their weight bytes and forwards,
+//! on the f32 and int8 paths.
 //!
 //! The constants were recorded on x86_64 Linux. `exp`/`tanh` come from
 //! the platform libm, so other targets may differ in the last ulp; the
 //! checks only run on x86_64.
 #![cfg(target_arch = "x86_64")]
 
+use mpgraph_core::compress::{quantize_delta, quantize_page};
 use mpgraph_core::{
-    AmmaConfig, Backbone, BackboneKind, DeltaPredictor, DeltaPredictorConfig, ModalInput, PageHead,
-    PagePredictor, PagePredictorConfig, Variant,
+    distill_delta, distill_page, AmmaConfig, Backbone, BackboneKind, DeltaPredictor,
+    DeltaPredictorConfig, DistillCfg, ModalInput, PageHead, PagePredictor, PagePredictorConfig,
+    Variant,
 };
 use mpgraph_frameworks::MemRecord;
 use mpgraph_ml::tensor::{rng, Matrix};
@@ -266,6 +272,116 @@ fn page_fingerprint(variant: Variant, head: PageHead) -> (u64, u64) {
     (f32_hash, int8_hash)
 }
 
+/// Student dimensions for the distillation fingerprints.
+fn student_cfg() -> AmmaConfig {
+    AmmaConfig {
+        history: 5,
+        attn_dim: 4,
+        fusion_dim: 8,
+        layers: 1,
+        heads: 2,
+    }
+}
+
+/// `(f32, int8)` hashes of a delta student distilled from an AMMA-PS
+/// teacher: its weight bytes and forwards, before and after
+/// `quantize_delta`. The trace takes no guard rollback, so the hashes pin
+/// the distillation arithmetic alone.
+fn distilled_delta_fingerprint(single_student: bool) -> (u64, u64) {
+    let tr = trace();
+    let dcfg = DeltaPredictorConfig {
+        amma: cfg(),
+        segments: 6,
+        delta_range: 15,
+        look_forward: 8,
+        threshold: 0.5,
+    };
+    let teacher = DeltaPredictor::train(&tr, 2, Variant::AmmaPs, dcfg, &tc());
+    let dc = DistillCfg {
+        student_amma: student_cfg(),
+        temperature: 3.0,
+        single_student,
+        student_head: None,
+    };
+    let mut st = distill_delta(&teacher, &tr, &dc, &tc());
+    assert_eq!(st.train_rollbacks, 0, "student rolled back");
+    let windows = delta_windows(&tr);
+    let refs: Vec<&[(u64, u64)]> = windows.iter().map(Vec::as_slice).collect();
+    let run = |st: &mut DeltaPredictor| {
+        let mut h = Fnv::new();
+        h.bytes(&st.weight_bytes());
+        let mut s = ScratchArena::new();
+        for phase in 0..2 {
+            for w in &refs {
+                let logits = st.predict_logits_in(w, phase, &mut s);
+                h.matrix(&logits);
+                s.give(logits);
+            }
+            st.cfg.threshold = -1.0;
+            for d in st.predict_deltas_batch_in(&refs, phase, 30, &mut s) {
+                h.ints(&d);
+            }
+            st.cfg.threshold = 0.5;
+        }
+        h.0
+    };
+    let f32_hash = run(&mut st);
+    quantize_delta(&mut st);
+    let int8_hash = run(&mut st);
+    (f32_hash, int8_hash)
+}
+
+/// `(f32, int8)` hashes of a page student distilled from a Softmax AMMA-PS
+/// teacher into a phase-specific student with `student_head`, before and
+/// after `quantize_page`.
+fn distilled_page_fingerprint(student_head: PageHead) -> (u64, u64) {
+    let tr = trace();
+    let pcfg = PagePredictorConfig {
+        amma: cfg(),
+        page_vocab: 64,
+        embed_dim: 8,
+        head: PageHead::Softmax,
+    };
+    let teacher = PagePredictor::train(&tr, 2, Variant::AmmaPs, pcfg, &tc());
+    let dc = DistillCfg {
+        student_amma: student_cfg(),
+        temperature: 2.0,
+        single_student: false,
+        student_head: Some(student_head),
+    };
+    let mut st = distill_page(&teacher, &tr, &dc, &tc());
+    assert_eq!(st.train_rollbacks, 0, "student rolled back");
+    let windows: Vec<Vec<(usize, u64)>> = (0..5)
+        .map(|i| {
+            tr[i * 67 + 3..i * 67 + 8]
+                .iter()
+                .map(|r| (st.vocab.token_of(r.page()), r.pc))
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[(usize, u64)]> = windows.iter().map(Vec::as_slice).collect();
+    let run = |st: &PagePredictor| {
+        let mut h = Fnv::new();
+        h.bytes(&st.weight_bytes());
+        let mut s = ScratchArena::new();
+        for phase in 0..2 {
+            for w in &refs {
+                let logits = st.predict_logits_in(w, phase, &mut s);
+                h.matrix(&logits);
+                s.give(logits);
+            }
+            for p in st.predict_pages_batch_in(&refs, phase, 8, &mut s) {
+                h.ints(&p);
+            }
+        }
+        h.0
+    };
+    let f32_hash = run(&st);
+    quantize_page(&mut st);
+    let int8_hash = run(&st);
+    (f32_hash, int8_hash)
+}
+
 #[test]
 fn backbone_forwards_match_golden_bits() {
     let got = [
@@ -334,4 +450,21 @@ fn two_layer_forwards_match_golden_bits() {
         (0x7177_305d_973b_e4a5, 0x795e_6885_104e_9c8d),
     ];
     assert_eq!(got, want, "two-layer forward bits drifted: {got:#x?}");
+}
+
+#[test]
+fn distilled_students_match_golden_bits() {
+    let got = [
+        distilled_delta_fingerprint(false),
+        distilled_delta_fingerprint(true),
+        distilled_page_fingerprint(PageHead::Softmax),
+        distilled_page_fingerprint(PageHead::BinaryEncoded),
+    ];
+    let want: [(u64, u64); 4] = [
+        (0x1028_0c3f_ba71_2a1a, 0xbd4f_4a63_6a4b_7d39),
+        (0xbb50_a908_9ab2_0e1b, 0xd14b_4d7d_8bf2_9e39),
+        (0xc050_1a43_2a55_d826, 0xb367_89f2_2f61_ce77),
+        (0x9187_1510_152c_532e, 0xf5a7_9181_aef4_f4a4),
+    ];
+    assert_eq!(got, want, "distilled student bits drifted: {got:#x?}");
 }
