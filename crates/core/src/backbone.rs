@@ -5,7 +5,7 @@
 
 use crate::amma::{Amma, AmmaConfig, ModalInput};
 use mpgraph_ml::arena::ScratchArena;
-use mpgraph_ml::layers::{Embedding, Linear, Module, Param, Project};
+use mpgraph_ml::layers::{Linear, Module, Param, Project};
 use mpgraph_ml::lstm::{Lstm, LstmGates};
 use mpgraph_ml::quant::QuantizedLinear;
 use mpgraph_ml::tensor::Matrix;
@@ -263,90 +263,6 @@ fn concat_in(x: &ModalInput, s: &mut ScratchArena) -> Matrix {
         out.row_mut(r)[x.addr.cols..].copy_from_slice(x.pc.row(r));
     }
     out
-}
-
-/// Int8 snapshot of one trained phase model: the backbone, the output
-/// head, and — for a page predictor's tied Softmax head — the vocabulary
-/// product, each embedding-table row one quantized output channel with
-/// its own scale (so one hot page with a large embedding norm cannot wash
-/// out the rest of the vocabulary).
-#[derive(Debug, Clone)]
-pub(crate) struct Int8Model {
-    backbone: Backbone<QuantizedLinear, QuantizedLinear>,
-    head: QuantizedLinear,
-    vocab: Option<QuantizedLinear>,
-}
-
-impl Int8Model {
-    pub(crate) fn new(backbone: &Backbone, head: &Linear, tied: Option<&Embedding>) -> Self {
-        Int8Model {
-            backbone: backbone.quantized(),
-            head: QuantizedLinear::from_linear(head),
-            vocab: tied.map(|e| QuantizedLinear::from_rows(&e.table.w, None)),
-        }
-    }
-
-    /// Int8 weights plus f32 scales and biases.
-    pub(crate) fn storage_bytes(&self) -> usize {
-        self.backbone.storage_bytes()
-            + self.head.storage_bytes()
-            + self
-                .vocab
-                .as_ref()
-                .map_or(0, QuantizedLinear::storage_bytes)
-    }
-}
-
-/// One phase model as a predictor serves it: the trained f32 backbone and
-/// head, the embedding table when the head is tied to it, and the int8
-/// snapshot once `quantize` has built one. [`Served::logits_in`] is the
-/// one place that chooses between the two weight sets.
-pub(crate) struct Served<'a> {
-    pub(crate) backbone: &'a Backbone,
-    pub(crate) head: &'a Linear,
-    pub(crate) tied: Option<&'a Embedding>,
-    pub(crate) int8: Option<&'a Int8Model>,
-}
-
-impl Served<'_> {
-    /// Head logits `[batch, out]` for `batch` stacked windows, through the
-    /// int8 snapshot when one exists and the f32 weights otherwise. The
-    /// caller gives the result back to `s`.
-    pub(crate) fn logits_in(
-        &self,
-        x: &ModalInput,
-        batch: usize,
-        phase: usize,
-        s: &mut ScratchArena,
-    ) -> Matrix {
-        match self.int8 {
-            Some(q) => head_logits_in(&q.backbone, &q.head, q.vocab.as_ref(), x, batch, phase, s),
-            None => head_logits_in(self.backbone, self.head, self.tied, x, batch, phase, s),
-        }
-    }
-}
-
-/// Backbone, then head, then (tied heads) the vocabulary product.
-fn head_logits_in<P: Project + LstmGates, L: Project, V: Project>(
-    backbone: &Backbone<P, L>,
-    head: &L,
-    vocab: Option<&V>,
-    x: &ModalInput,
-    batch: usize,
-    phase: usize,
-    s: &mut ScratchArena,
-) -> Matrix {
-    let pooled = backbone.infer_batch_in(x, batch, phase, s);
-    let z = head.project_in(&pooled, s);
-    s.give(pooled);
-    match vocab {
-        Some(v) => {
-            let logits = v.project_in(&z, s);
-            s.give(z);
-            logits
-        }
-        None => z,
-    }
 }
 
 impl Module for Backbone {

@@ -5,18 +5,16 @@
 //! compressed" headline configuration.
 
 use crate::amma::AmmaConfig;
-use crate::backbone::Backbone;
-use crate::delta_predictor::{DeltaPredictor, DeltaRange};
+use crate::delta_predictor::DeltaPredictor;
 use crate::page_predictor::{PageHead, PagePredictor};
+use crate::phase_models::PhaseModel;
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
-use mpgraph_ml::guard::{GuardAction, TrainGuard};
-use mpgraph_ml::layers::{Linear, Module};
-use mpgraph_ml::loss::{binary_distillation_loss, distillation_loss};
-use mpgraph_ml::optim::Adam;
-use mpgraph_ml::quant::quantize_module;
-use mpgraph_ml::tensor::rng;
-use mpgraph_ml::ScratchArena;
+use mpgraph_ml::layers::{Param, Sigmoid};
+use mpgraph_ml::loss::{
+    bce_with_logits, binary_distillation_loss, distillation_loss, softmax_cross_entropy,
+};
+use mpgraph_ml::metrics::top_k_indices;
 use mpgraph_prefetchers::TrainCfg;
 
 /// Distillation hyper-parameters.
@@ -46,7 +44,10 @@ impl Default for DistillCfg {
 }
 
 /// Distills a trained delta predictor into a smaller student, matching the
-/// teacher's per-label probabilities on the training stream.
+/// teacher's per-label probabilities on the teacher's strided training
+/// walk. Each student model trains on its phases' samples, like
+/// [`DeltaPredictor::train`]. Students carry no phase embedding, even for
+/// an AMMA-PI teacher.
 pub fn distill_delta(
     teacher: &DeltaPredictor,
     records: &[MemRecord],
@@ -55,96 +56,39 @@ pub fn distill_delta(
 ) -> DeltaPredictor {
     let mut cfg = teacher.cfg;
     cfg.amma = dc.student_amma;
-    let dr = DeltaRange {
-        range: cfg.delta_range,
-    };
-    let num_phases = teacher.num_phases;
-    let (variant, model_count) = if dc.single_student {
-        (Variant::Amma, 1)
-    } else {
-        (teacher.variant, teacher.models.len())
-    };
-    let mut r = rng(tc.seed ^ 0xD157);
-    let mut models: Vec<(Backbone, Linear)> = (0..model_count)
-        .map(|_| {
-            let b = Backbone::new(variant.backbone_kind(), cfg.segments, 1, cfg.amma, &mut r);
-            let head = Linear::new(b.out_dim(), dr.num_labels(), &mut r);
-            (b, head)
-        })
-        .collect();
-    let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-    let mut guards: Vec<TrainGuard> = (0..model_count)
-        .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-        .collect();
-
+    let num_phases = teacher.models.num_phases;
+    let variant = student_variant(teacher.models.variant, dc);
+    let mut st = DeltaPredictor::untrained(variant, num_phases, cfg, tc.seed ^ 0xD157, false);
     let t = tc.history;
-    let usable = records.len().saturating_sub(t + cfg.look_forward);
-    let stride = (usable / tc.max_samples.max(1)).max(1);
-    let mut final_loss = 0.0f32;
-    // The teacher runs inference-only: its logits come out of one arena
-    // reused across every distillation step.
-    let mut teacher_arena = ScratchArena::new();
-    'epochs: for _ in 0..tc.epochs {
-        let mut i = 0usize;
-        let mut count = 0usize;
-        let mut loss_sum = 0.0f32;
-        while i + t + cfg.look_forward < records.len() && count < tc.max_samples {
-            let pos = i + t - 1;
-            let phase = records[pos].phase as usize % num_phases.max(1);
-            let midx = if dc.single_student {
-                0
-            } else {
-                phase % model_count
-            };
-            let hist: Vec<(u64, u64)> = records[i..i + t]
-                .iter()
-                .map(|rec| (rec.block(), rec.pc))
-                .collect();
-            // Teacher's soft targets (phase-appropriate teacher model).
-            let teacher_logits = teacher.predict_logits_in(&hist, phase, &mut teacher_arena);
-            let x = DeltaPredictor::encode_hist(&cfg, &hist);
-            let (backbone, head) = &mut models[midx];
-            let pooled = backbone.forward(&x, phase);
-            let logits = head.forward(&pooled);
+    let samples = st.walk(records, t, tc.max_samples);
+    (st.final_loss, st.train_steps, st.train_rollbacks) = st.models.fit(
+        samples,
+        tc.epochs,
+        tc.lr,
+        "delta",
+        None,
+        |m, phase, &i, s| {
+            let hist = DeltaPredictor::window(records, i, t);
+            // The phase-appropriate teacher model's soft targets.
+            let teacher_logits = teacher.predict_logits_in(&hist, phase, s);
+            let logits = m.forward(&DeltaPredictor::encode(&cfg, &hist), phase);
             let (loss, dl) = binary_distillation_loss(&logits, &teacher_logits);
-            teacher_arena.give(teacher_logits);
-            let dp = head.backward(&dl);
-            backbone.backward(&dp);
-            opts[midx].step(backbone);
-            opts[midx].step(head);
-            i += stride;
-            count += 1;
-            match guards[midx].observe(
-                loss,
-                &mut [backbone as &mut dyn Module, head as &mut dyn Module],
-                &mut opts[midx].lr,
-            ) {
-                GuardAction::Continue => loss_sum += loss,
-                GuardAction::RolledBack { .. } => count -= 1,
-                GuardAction::Exhausted => break 'epochs,
-            }
-        }
-        final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
-    }
-    DeltaPredictor {
-        variant,
-        cfg,
-        models,
-        num_phases,
-        final_loss,
-        train_steps: 0,
-        train_rollbacks: 0,
-        int8: Vec::new(),
-    }
+            s.give(teacher_logits);
+            m.backward(&dl);
+            loss
+        },
+    );
+    st
 }
 
 /// Distills a trained page predictor into a smaller student. The student
 /// uses the binary-encoded head when the teacher does; KD runs on the
 /// temperature-softened token distribution otherwise.
+///
+/// The samples are a strided walk over the globally interleaved record
+/// stream, while page training and serving use per-core histories: a
+/// student sees windows that mix the cores' page streams. Changing the
+/// walk would change every distilled page student.
 pub fn distill_page(
     teacher: &PagePredictor,
     records: &[MemRecord],
@@ -156,142 +100,89 @@ pub fn distill_page(
     if let Some(h) = dc.student_head {
         cfg.head = h;
     }
-    let num_phases = teacher.num_phases;
-    let (variant, model_count) = if dc.single_student {
-        (Variant::Amma, 1)
-    } else {
-        (teacher.variant, teacher.models.len())
-    };
-    // The student is trained against teacher logits, so construct it via
-    // the regular constructor path and then re-train its weights.
-    let mut student = PagePredictor::train(
-        records,
-        num_phases,
-        variant,
-        cfg,
-        &TrainCfg {
-            epochs: 0, // build architecture + vocab only; no hard-label training
-            ..*tc
-        },
-    );
-    let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-    let mut guards: Vec<TrainGuard> = (0..model_count)
-        .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-        .collect();
+    let num_phases = teacher.models.num_phases;
+    let variant = student_variant(teacher.models.variant, dc);
+    let mut st = PagePredictor::untrained(records, num_phases, variant, cfg, tc.seed ^ 0x9A6E);
     let seq: Vec<(usize, u64, u8)> = records
         .iter()
-        .map(|rec| (student.vocab.token_of(rec.page()), rec.pc, rec.phase))
+        .map(|rec| (st.vocab.token_of(rec.page()), rec.pc, rec.phase))
         .collect();
     let t = tc.history;
-    let usable = seq.len().saturating_sub(t + 1);
-    let stride = (usable / tc.max_samples.max(1)).max(1);
-    let mut final_loss = 0.0f32;
-    let mut teacher_arena = ScratchArena::new();
-    'epochs: for _ in 0..tc.epochs {
-        let mut i = 0usize;
-        let mut count = 0usize;
-        let mut loss_sum = 0.0f32;
-        while i + t < seq.len() && count < tc.max_samples {
-            let phase = seq[i + t - 1].2 as usize % num_phases.max(1);
-            let midx = if dc.single_student {
-                0
-            } else {
-                phase % model_count
-            };
-            let hist: Vec<(usize, u64)> = seq[i..i + t]
-                .iter()
-                .map(|&(tok, pc, _)| (tok, pc))
-                .collect();
+    let stride = (seq.len().saturating_sub(t + 1) / tc.max_samples.max(1)).max(1);
+    let samples: Vec<(usize, usize)> = (0..seq.len().saturating_sub(t))
+        .step_by(stride)
+        .take(tc.max_samples)
+        .map(|i| (st.models.phase_of(seq[i + t - 1].2), i))
+        .collect();
+    let vocab_len = st.vocab.len().max(1);
+    (st.final_loss, st.train_steps, st.train_rollbacks) = st.models.fit(
+        samples,
+        tc.epochs,
+        tc.lr,
+        "page",
+        None,
+        |m, phase, &i, s| {
             // Teacher history uses the teacher's own vocabulary.
             let t_hist: Vec<(usize, u64)> = records[i..i + t]
                 .iter()
                 .map(|rec| (teacher.vocab.token_of(rec.page()), rec.pc))
                 .collect();
-            let teacher_logits = teacher.predict_logits_in(&t_hist, phase, &mut teacher_arena);
-            let (loss, dl) = {
-                let m = &mut student.models[midx];
-                let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
-                let addr = m.embed.forward(&tokens);
-                let mut pc = mpgraph_ml::tensor::Matrix::zeros(hist.len(), 1);
-                for (j, &(_, pcv)) in hist.iter().enumerate() {
-                    pc.data[j] = mpgraph_prefetchers::mlcommon::pc_feature(pcv);
+            let teacher_logits = teacher.predict_logits_in(&t_hist, phase, s);
+            let logits = PagePredictor::forward_window(m, &seq[i..i + t], phase);
+            let (loss, d_head) = match (teacher.cfg.head, cfg.head) {
+                (PageHead::Softmax, PageHead::Softmax) => {
+                    // Softmax student heads are tied: `logits` is the
+                    // embedding-space projection, not the vocab-wide
+                    // row. Expand through the student's table for the
+                    // KD loss and pull the gradient back through the
+                    // same (frozen-for-this-product) table.
+                    let table = &tied_table(m).w;
+                    let full = logits.matmul_bt(table);
+                    let (loss, d_full) = distillation_loss(&full, &teacher_logits, dc.temperature);
+                    (loss, d_full.matmul(table))
                 }
-                let x = crate::amma::ModalInput { addr, pc };
-                let pooled = m.backbone.forward(&x, phase);
-                let logits = m.head.forward(&pooled);
-                let (loss, dl) = match (teacher.cfg.head, cfg.head) {
-                    (PageHead::Softmax, PageHead::Softmax) => {
-                        // Softmax student heads are tied: `logits` is the
-                        // embedding-space projection, not the vocab-wide
-                        // row. Expand through the student's table for the
-                        // KD loss and pull the gradient back through the
-                        // same (frozen-for-this-product) table.
-                        let full = logits.matmul_bt(&m.embed.table.w);
-                        let (loss, d_full) =
-                            distillation_loss(&full, &teacher_logits, dc.temperature);
-                        (loss, d_full.matmul(&m.embed.table.w))
-                    }
-                    (PageHead::BinaryEncoded, PageHead::Softmax) => {
-                        // Bits-wide teacher vs vocab-wide student: decode
-                        // the teacher's token and distill it as a hard
-                        // label through the student's tied softmax.
-                        let probs = mpgraph_ml::layers::Sigmoid::infer(&teacher_logits);
-                        let top =
-                            PagePredictor::decode_bits(probs.row(0), student.vocab.len().max(1));
-                        let full = logits.matmul_bt(&m.embed.table.w);
-                        let (loss, d_full) = mpgraph_ml::loss::softmax_cross_entropy(&full, &[top]);
-                        (loss, d_full.matmul(&m.embed.table.w))
-                    }
-                    (PageHead::BinaryEncoded, PageHead::BinaryEncoded) => {
-                        binary_distillation_loss(&logits, &teacher_logits)
-                    }
-                    (PageHead::Softmax, PageHead::BinaryEncoded) => {
-                        // Head widths differ: distill the teacher's argmax
-                        // token through the student's binary target.
-                        let top = mpgraph_ml::metrics::top_k_indices(teacher_logits.row(0), 1)[0];
-                        let bits = logits.cols;
-                        let mut target = mpgraph_ml::tensor::Matrix::zeros(1, bits);
-                        for b in 0..bits {
-                            target.data[b] = ((top >> b) & 1) as f32;
-                        }
-                        mpgraph_ml::loss::bce_with_logits(&logits, &target)
-                    }
-                };
-                let dp = m.head.backward(&dl);
-                let (d_addr, _) = m.backbone.backward(&dp);
-                m.embed.backward(&d_addr);
-                (loss, dl)
+                (PageHead::BinaryEncoded, PageHead::Softmax) => {
+                    // Bits-wide teacher vs vocab-wide student: decode
+                    // the teacher's token and distill it as a hard
+                    // label through the student's tied softmax.
+                    let probs = Sigmoid::infer(&teacher_logits);
+                    let top = PagePredictor::decode_bits(probs.row(0), vocab_len);
+                    let table = &tied_table(m).w;
+                    let (loss, d_full) = softmax_cross_entropy(&logits.matmul_bt(table), &[top]);
+                    (loss, d_full.matmul(table))
+                }
+                (PageHead::BinaryEncoded, PageHead::BinaryEncoded) => {
+                    binary_distillation_loss(&logits, &teacher_logits)
+                }
+                (PageHead::Softmax, PageHead::BinaryEncoded) => {
+                    // Head widths differ: distill the teacher's argmax
+                    // token through the student's binary target.
+                    let top = top_k_indices(teacher_logits.row(0), 1)[0];
+                    let target = PagePredictor::binary_target(top, logits.cols);
+                    bce_with_logits(&logits, &target)
+                }
             };
-            let _ = dl;
-            teacher_arena.give(teacher_logits);
-            let m = &mut student.models[midx];
-            opts[midx].step(&mut m.embed);
-            opts[midx].step(&mut m.backbone);
-            opts[midx].step(&mut m.head);
-            i += stride;
-            count += 1;
-            match guards[midx].observe(
-                loss,
-                &mut [
-                    &mut m.embed as &mut dyn Module,
-                    &mut m.backbone as &mut dyn Module,
-                    &mut m.head as &mut dyn Module,
-                ],
-                &mut opts[midx].lr,
-            ) {
-                GuardAction::Continue => loss_sum += loss,
-                GuardAction::RolledBack { .. } => count -= 1,
-                GuardAction::Exhausted => break 'epochs,
-            }
-        }
-        final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
+            s.give(teacher_logits);
+            m.backward(&d_head);
+            loss
+        },
+    );
+    st
+}
+
+/// The student's variant: the teacher's, or plain AMMA when all phase
+/// teachers fold into one student.
+fn student_variant(teacher: Variant, dc: &DistillCfg) -> Variant {
+    if dc.single_student {
+        Variant::Amma
+    } else {
+        teacher
     }
-    student.final_loss = final_loss;
-    student
+}
+
+/// A Softmax page student's tied embedding table.
+fn tied_table(m: &PhaseModel) -> &Param {
+    &m.tied_embed().expect("Softmax page heads are tied").table
 }
 
 /// In-place int8 quantization of every model in a delta predictor.
@@ -301,30 +192,14 @@ pub fn distill_page(
 /// representation of the stored weights (quantization is fixpoint-stable).
 /// Returns (float bytes before, int8 bytes after).
 pub fn quantize_delta(p: &mut DeltaPredictor) -> (usize, usize) {
-    let mut before = 0usize;
-    let mut after = 0usize;
-    for (b, h) in p.models.iter_mut() {
-        before += b.num_params() * 4 + h.num_params() * 4;
-        after += quantize_module(b) + quantize_module(h);
-    }
-    p.quantize();
-    (before, after)
+    p.models.round_and_quantize()
 }
 
 /// In-place int8 quantization of every model in a page predictor. Same
 /// contract as [`quantize_delta`]: weights round onto the int8 grid and
 /// the int8 serving snapshot is installed.
 pub fn quantize_page(p: &mut PagePredictor) -> (usize, usize) {
-    let mut before = 0usize;
-    let mut after = 0usize;
-    for m in p.models.iter_mut() {
-        before += (m.embed.num_params() + m.backbone.num_params() + m.head.num_params()) * 4;
-        after += quantize_module(&mut m.embed)
-            + quantize_module(&mut m.backbone)
-            + quantize_module(&mut m.head);
-    }
-    p.quantize();
-    (before, after)
+    p.models.round_and_quantize()
 }
 
 /// Compression factor between a teacher/student pair (by parameter count).
@@ -338,6 +213,7 @@ mod tests {
     use crate::delta_predictor::DeltaPredictorConfig;
     use crate::page_predictor::PagePredictorConfig;
     use mpgraph_frameworks::MemRecord;
+    use mpgraph_ml::ScratchArena;
 
     fn rec(vaddr: u64, pc: u64, phase: u8) -> MemRecord {
         MemRecord {
@@ -439,8 +315,8 @@ mod tests {
             ..DistillCfg::default()
         };
         let student = distill_delta(&teacher, &tr, &dc, &tc);
-        assert_eq!(student.models.len(), 1);
-        assert_eq!(teacher.models.len(), 2);
+        assert_eq!(student.models.models.len(), 1);
+        assert_eq!(teacher.models.models.len(), 2);
     }
 
     #[test]
@@ -495,7 +371,7 @@ mod tests {
         // vocab), not vocab-wide like the teacher's softmax.
         let vocab_bits = (student.cfg.page_vocab as f32).log2().ceil() as usize;
         let mut s = ScratchArena::new();
-        let phase = 1 % student.num_phases.max(1);
+        let phase = 1 % student.models.num_phases;
         let logits = student.predict_logits_in(&[(0usize, 0x401000u64); 5], phase, &mut s);
         assert_eq!(logits.cols, vocab_bits.max(1));
         assert!(
@@ -536,6 +412,67 @@ mod tests {
             "quantization changed F1 too much: {} → {}",
             f1_before.f1,
             f1_after.f1
+        );
+    }
+
+    #[test]
+    fn distilled_students_report_their_training() {
+        let tr = trace();
+        let (dcfg, pcfg, tc) = teacher_cfgs();
+        let dt = DeltaPredictor::train(&tr, 2, Variant::AmmaPs, dcfg, &tc);
+        let pt = PagePredictor::train(&tr, 2, Variant::AmmaPs, pcfg, &tc);
+        let dc = DistillCfg::default();
+        let sd = distill_delta(&dt, &tr, &dc, &tc);
+        let sp = distill_page(&pt, &tr, &dc, &tc);
+        // Both walks are longer than `max_samples`, so each schedule holds
+        // exactly `max_samples` samples.
+        assert_eq!(
+            sd.walk(&tr, tc.history, tc.max_samples).len(),
+            tc.max_samples
+        );
+        let full = (tc.epochs * tc.max_samples) as u64;
+        assert_eq!((sd.train_steps, sd.train_rollbacks), (full, 0));
+        assert_eq!((sp.train_steps, sp.train_rollbacks), (full, 0));
+    }
+
+    #[test]
+    fn pathological_lr_distillation_stays_finite_and_stops_only_the_exhausted_model() {
+        // Only three windows end in phase 1, too few steps for that
+        // student model to spend the guard's 8-rollback budget; the absurd
+        // learning rate exhausts the phase-0 model within its first steps.
+        let mut tr: Vec<MemRecord> = (0..400u64)
+            .map(|i| rec(4096 + i * 64, 0x400000, 0))
+            .collect();
+        for r in &mut tr[200..203] {
+            r.phase = 1;
+        }
+        let (dcfg, _, tc) = teacher_cfgs();
+        let teacher = DeltaPredictor::train(&tr, 2, Variant::AmmaPs, dcfg, &tc);
+        let tc = TrainCfg {
+            lr: 1e4,
+            epochs: 2,
+            max_samples: 1000,
+            ..tc
+        };
+        let dc = DistillCfg::default();
+        let st = distill_delta(&teacher, &tr, &dc, &tc);
+        let init = distill_delta(&teacher, &tr, &dc, &TrainCfg { epochs: 0, ..tc });
+        let (w, w0) = (st.weight_bytes(), init.weight_bytes());
+        assert!(w
+            .chunks(4)
+            .all(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]).is_finite()));
+        // The phase-0 model spent its rollback budget and stopped early...
+        let walk = st.walk(&tr, tc.history, tc.max_samples).len();
+        assert!(st.train_rollbacks >= 8, "{} rollbacks", st.train_rollbacks);
+        assert!(st.train_steps < (tc.epochs * walk) as u64);
+        // ...while the phase-1 model, whose windows come after the point
+        // where its sibling gave up, still trained. The two models have
+        // the same shape, so the second half of the bytes is model 1.
+        let half = w.len() / 2;
+        assert_ne!(
+            w[half..],
+            w0[half..],
+            "the phase-1 model stopped with its sibling"
         );
     }
 }

@@ -4,25 +4,17 @@
 //! future block deltas within one page (BCE loss).
 
 use crate::amma::{AmmaConfig, ModalInput};
-use crate::backbone::{Backbone, Int8Model, Served};
+use crate::backbone::Backbone;
+use crate::phase_models::{dedup_chunked, PhaseModel, PhaseModels};
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
-use mpgraph_ml::guard::{GuardAction, TrainGuard};
-use mpgraph_ml::layers::{Linear, Module, Sigmoid};
+use mpgraph_ml::layers::{Linear, Sigmoid};
 use mpgraph_ml::loss::bce_with_logits;
 use mpgraph_ml::metrics::{multilabel_f1, top_k_indices, Prf};
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
-use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, segment_block};
+use mpgraph_prefetchers::mlcommon::{pc_feature, segment_block};
 use mpgraph_prefetchers::TrainCfg;
-use rayon::prelude::*;
-
-/// Most windows one batched forward stacks, for both predictors: a
-/// larger (already deduplicated) batch runs as consecutive forwards of at
-/// most this many, which keeps each forward's activations cache-resident.
-/// Rows are independent, so the cut changes no output bit.
-pub const FUSED_BATCH_WINDOWS: usize = 8;
 
 /// Bidirectional delta↔label mapping over `[-range, +range] \ {0}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,14 +82,9 @@ impl Default for DeltaPredictorConfig {
 /// out per-stream prefetchers from one trained instance.
 #[derive(Clone)]
 pub struct DeltaPredictor {
-    pub variant: Variant,
     pub cfg: DeltaPredictorConfig,
-    /// One (backbone, head) per phase for AMMA-PS, otherwise length 1.
-    pub(crate) models: Vec<(Backbone, Linear)>,
-    /// Int8 snapshots, one per model, filled by
-    /// [`DeltaPredictor::quantize`]. Empty means the f32 weights serve.
-    pub(crate) int8: Vec<Int8Model>,
-    pub(crate) num_phases: usize,
+    /// One model per phase for AMMA-PS, otherwise one.
+    pub(crate) models: PhaseModels,
     pub final_loss: f32,
     /// Optimizer steps taken across all phase models and epochs.
     pub train_steps: u64,
@@ -106,7 +93,7 @@ pub struct DeltaPredictor {
 }
 
 impl DeltaPredictor {
-    fn encode(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
+    pub(crate) fn encode(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
         let mut addr = Matrix::zeros(hist.len(), cfg.segments);
         let mut pc = Matrix::zeros(hist.len(), 1);
         for (i, &(block, pcv)) in hist.iter().enumerate() {
@@ -115,6 +102,14 @@ impl DeltaPredictor {
             pc.data[i] = pc_feature(pcv);
         }
         ModalInput { addr, pc }
+    }
+
+    /// The `(block, pc)` history window of `t` records starting at `i`.
+    pub(crate) fn window(records: &[MemRecord], i: usize, t: usize) -> Vec<(u64, u64)> {
+        records[i..i + t]
+            .iter()
+            .map(|rec| (rec.block(), rec.pc))
+            .collect()
     }
 
     /// Builds the label bitmap for the access at `pos` (deltas of the next
@@ -133,17 +128,59 @@ impl DeltaPredictor {
         target
     }
 
+    /// An untrained predictor drawn from `seed`. `phase_informed` gives
+    /// the models a phase embedding (AMMA only).
+    pub(crate) fn untrained(
+        variant: Variant,
+        num_phases: usize,
+        cfg: DeltaPredictorConfig,
+        seed: u64,
+        phase_informed: bool,
+    ) -> Self {
+        let labels = DeltaRange {
+            range: cfg.delta_range,
+        }
+        .num_labels();
+        let mut r = rng(seed);
+        let models = PhaseModels::new(variant, num_phases, |phases| {
+            let mut b = Backbone::new(variant.backbone_kind(), cfg.segments, 1, cfg.amma, &mut r);
+            if phase_informed {
+                b = b.with_phase_embedding(phases, &mut r);
+            }
+            let head = Linear::new(b.out_dim(), labels, &mut r);
+            PhaseModel::new(None, b, head, false)
+        });
+        DeltaPredictor {
+            cfg,
+            models,
+            final_loss: f32::NAN,
+            train_steps: 0,
+            train_rollbacks: 0,
+        }
+    }
+
+    /// The strided sample walk over `records`: up to `max_samples`
+    /// `(phase, window start)` pairs, evenly spaced over the accesses that
+    /// have a full history window and label look-ahead.
+    pub(crate) fn walk(
+        &self,
+        records: &[MemRecord],
+        t: usize,
+        max_samples: usize,
+    ) -> Vec<(usize, usize)> {
+        let usable = records.len().saturating_sub(t + self.cfg.look_forward);
+        let stride = (usable / max_samples.max(1)).max(1);
+        (0..usable)
+            .step_by(stride)
+            .take(max_samples)
+            .map(|i| (self.models.phase_of(records[i + t - 1].phase), i))
+            .collect()
+    }
+
     /// Trains the predictor on `records` (one framework iteration, with
-    /// ground-truth phase labels available offline per Figure 6).
-    ///
-    /// Phase-specific variants train their per-phase models concurrently:
-    /// a serial data-only walk first assigns every sample window to its
-    /// phase model (the same windows, in the same per-model order, that the
-    /// old interleaved loop produced), then each (model, optimizer, guard,
-    /// schedule) tuple trains independently on its own thread. Each model's
-    /// update sequence is fully self-contained, so the resulting weights
-    /// are bit-identical run to run regardless of thread scheduling. A
-    /// guard-exhausted model stops alone instead of aborting its siblings.
+    /// ground-truth phase labels available offline per Figure 6). Each
+    /// phase model trains on its share of the strided walk, on its own
+    /// thread (`PhaseModels::fit`).
     pub fn train(
         records: &[MemRecord],
         num_phases: usize,
@@ -165,202 +202,41 @@ impl DeltaPredictor {
         tc: &TrainCfg,
         sink: Option<&crate::TrainEventSink>,
     ) -> Self {
-        let dr = DeltaRange {
-            range: cfg.delta_range,
-        };
-        let model_count = if variant.is_phase_specific() {
-            num_phases
-        } else {
-            1
-        };
-        let mut r = rng(tc.seed ^ 0xDE17A);
-        let mut models: Vec<(Backbone, Linear)> = (0..model_count)
-            .map(|_| {
-                let mut b =
-                    Backbone::new(variant.backbone_kind(), cfg.segments, 1, cfg.amma, &mut r);
-                if variant.is_phase_informed() {
-                    b = b.with_phase_embedding(num_phases, &mut r);
-                }
-                let head = Linear::new(b.out_dim(), dr.num_labels(), &mut r);
-                (b, head)
-            })
-            .collect();
-        let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-        let mut guards: Vec<TrainGuard> = (0..model_count)
-            .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-            .collect();
-
+        let phase_informed = variant.is_phase_informed();
+        let mut p = Self::untrained(variant, num_phases, cfg, tc.seed ^ 0xDE17A, phase_informed);
         let t = tc.history;
-        let usable = records.len().saturating_sub(t + cfg.look_forward);
-        let stride = (usable / tc.max_samples.max(1)).max(1);
-
-        // Serial data-only walk: assign sample windows to phase models.
-        let mut schedules: Vec<Vec<usize>> = vec![Vec::new(); model_count];
-        {
-            let mut i = 0usize;
-            let mut count = 0usize;
-            while i + t + cfg.look_forward < records.len() && count < tc.max_samples {
-                let pos = i + t - 1;
-                let phase = records[pos].phase as usize % num_phases.max(1);
-                let midx = if variant.is_phase_specific() {
-                    phase
-                } else {
-                    0
-                };
-                schedules[midx].push(i);
-                i += stride;
-                count += 1;
-            }
-        }
-
-        // Per-model training, fanned out over threads. `collect` preserves
-        // model order, and the final loss combines per-model sums in that
-        // order — a deterministic reduction.
-        type Job<'a> = (
-            (usize, &'a mut (Backbone, Linear), &'a mut Adam),
-            (&'a mut TrainGuard, &'a Vec<usize>),
+        let samples = p.walk(records, t, tc.max_samples);
+        (p.final_loss, p.train_steps, p.train_rollbacks) = p.models.fit(
+            samples,
+            tc.epochs,
+            tc.lr,
+            "delta",
+            sink,
+            |m, phase, &i, _| {
+                let x = Self::encode(&cfg, &Self::window(records, i, t));
+                let target = Self::label_bitmap(&cfg, records, i + t - 1);
+                let (loss, dl) = bce_with_logits(&m.forward(&x, phase), &target);
+                m.backward(&dl);
+                loss
+            },
         );
-        let jobs: Vec<Job<'_>> = models
-            .iter_mut()
-            .zip(opts.iter_mut())
-            .zip(guards.iter_mut().zip(schedules.iter()))
-            .enumerate()
-            .map(|(midx, ((model, opt), rest))| ((midx, model, opt), rest))
-            .collect();
-        let stats: Vec<(f32, usize, u64)> = jobs
-            .into_par_iter()
-            .map(|((midx, model, opt), (guard, schedule))| {
-                Self::train_one_model(
-                    records, num_phases, &cfg, tc, model, opt, guard, schedule, midx, sink,
-                )
-            })
-            .collect();
-        let loss_sum: f32 = stats.iter().map(|&(l, _, _)| l).sum();
-        let count: usize = stats.iter().map(|&(_, c, _)| c).sum();
-        let train_steps: u64 = stats.iter().map(|&(_, _, s)| s).sum();
-        let train_rollbacks: u64 = guards.iter().map(|g| g.rollbacks as u64).sum();
-        let final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
-        DeltaPredictor {
-            variant,
-            cfg,
-            models,
-            int8: Vec::new(),
-            num_phases: num_phases.max(1),
-            final_loss,
-            train_steps,
-            train_rollbacks,
-        }
-    }
-
-    /// Trains one phase model over its precomputed sample schedule for all
-    /// epochs. Returns the last completed epoch's (loss sum, sample count)
-    /// plus the total optimizer steps taken across every epoch.
-    #[allow(clippy::too_many_arguments)]
-    fn train_one_model(
-        records: &[MemRecord],
-        num_phases: usize,
-        cfg: &DeltaPredictorConfig,
-        tc: &TrainCfg,
-        model: &mut (Backbone, Linear),
-        opt: &mut Adam,
-        guard: &mut TrainGuard,
-        schedule: &[usize],
-        midx: usize,
-        sink: Option<&crate::TrainEventSink>,
-    ) -> (f32, usize, u64) {
-        let t = tc.history;
-        let (backbone, head) = model;
-        let mut last = (0.0f32, 0usize);
-        let mut steps = 0u64;
-        'epochs: for _ in 0..tc.epochs {
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            for &i in schedule {
-                let pos = i + t - 1;
-                let phase = records[pos].phase as usize % num_phases.max(1);
-                let hist: Vec<(u64, u64)> = records[i..i + t]
-                    .iter()
-                    .map(|rec| (rec.block(), rec.pc))
-                    .collect();
-                let x = Self::encode(cfg, &hist);
-                let target = Self::label_bitmap(cfg, records, pos);
-                let pooled = backbone.forward(&x, phase);
-                let logits = head.forward(&pooled);
-                let (loss, dl) = bce_with_logits(&logits, &target);
-                let dp = head.backward(&dl);
-                backbone.backward(&dp);
-                opt.step(backbone);
-                opt.step(head);
-                count += 1;
-                steps += 1;
-                match guard.observe(
-                    loss,
-                    &mut [backbone as &mut dyn Module, head as &mut dyn Module],
-                    &mut opt.lr,
-                ) {
-                    GuardAction::Continue => loss_sum += loss,
-                    GuardAction::RolledBack { new_lr } => {
-                        count -= 1;
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "delta".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: new_lr as f64,
-                                exhausted: false,
-                            });
-                        }
-                    }
-                    GuardAction::Exhausted => {
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "delta".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: 0.0,
-                                exhausted: true,
-                            });
-                        }
-                        break 'epochs;
-                    }
-                }
-            }
-            last = (loss_sum, count);
-        }
-        (last.0, last.1, steps)
-    }
-
-    fn model_index(&self, phase: usize) -> usize {
-        if self.variant.is_phase_specific() {
-            phase % self.models.len()
-        } else {
-            0
-        }
+        p
     }
 
     /// Builds int8 snapshots of every phase model (backbones + heads).
     /// Serving then runs through the i8×i8→i32 kernels; call on a trained
     /// (typically distilled, §6.1) predictor.
     pub fn quantize(&mut self) {
-        self.int8 = self
-            .models
-            .iter()
-            .map(|(b, h)| Int8Model::new(b, h, None))
-            .collect();
+        self.models.quantize();
     }
 
     pub fn is_quantized(&self) -> bool {
-        !self.int8.is_empty()
+        self.models.is_quantized()
     }
 
     /// Int8 model size across all phase models (weights + scales/biases).
     pub fn quant_storage_bytes(&self) -> Option<usize> {
-        self.is_quantized()
-            .then(|| self.int8.iter().map(Int8Model::storage_bytes).sum())
+        self.models.quant_storage_bytes()
     }
 
     /// Raw head logits `[batch, labels]` for `hists.len()` same-length
@@ -381,8 +257,6 @@ impl DeltaPredictor {
             hists.iter().all(|h| h.len() == t),
             "fused delta batch requires equal-length histories"
         );
-        let midx = self.model_index(phase);
-        let (backbone, head) = &self.models[midx];
         let mut addr = s.take(batch * t, self.cfg.segments);
         let mut pc = s.take(batch * t, 1);
         for (b, hist) in hists.iter().enumerate() {
@@ -393,13 +267,7 @@ impl DeltaPredictor {
             }
         }
         let x = ModalInput { addr, pc };
-        let served = Served {
-            backbone,
-            head,
-            tied: None,
-            int8: self.int8.get(midx),
-        };
-        let logits = served.logits_in(&x, batch, phase, s);
+        let logits = self.models.model_for(phase).logits_in(&x, batch, phase, s);
         s.give(x.addr);
         s.give(x.pc);
         logits
@@ -432,9 +300,9 @@ impl DeltaPredictor {
     }
 
     /// Batched [`Self::predict_deltas_in`] over `hists.len()` same-length
-    /// history windows sharing one phase, run as one fused forward.
-    /// Per-window outputs are bit-identical to calling
-    /// [`Self::predict_deltas_in`] per window.
+    /// history windows sharing one phase, run as fused, deduplicated
+    /// forwards (`dedup_chunked`). Per-window outputs are bit-identical
+    /// to calling [`Self::predict_deltas_in`] per window.
     pub fn predict_deltas_batch_in(
         &self,
         hists: &[&[(u64, u64)]],
@@ -442,71 +310,39 @@ impl DeltaPredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<Vec<i64>> {
-        let batch = hists.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        // Dedup identical windows before stacking: same-phase streams
-        // co-traversing one frontier present byte-identical histories,
-        // and the prediction is a pure function of (window, phase, k),
-        // so one computed lane serves every duplicate bit-exactly.
-        if batch > 1 {
-            let (unique, lane_of) = dedup_lanes(hists);
-            if unique.len() < batch {
-                let uniq = self.predict_deltas_batch_in(&unique, phase, k, s);
-                return lane_of.iter().map(|&i| uniq[i].clone()).collect();
-            }
-        }
-        if batch > FUSED_BATCH_WINDOWS {
-            return hists
-                .chunks(FUSED_BATCH_WINDOWS)
-                .flat_map(|c| self.predict_deltas_batch_in(c, phase, k, s))
-                .collect();
-        }
         let dr = DeltaRange {
             range: self.cfg.delta_range,
         };
-        let mut scores = self.logits_batch_in(hists, phase, s);
-        Sigmoid::infer_inplace(&mut scores);
-        let out = (0..batch)
-            .map(|b| {
-                let row = scores.row(b);
-                top_k_indices(row, k)
-                    .into_iter()
-                    .filter(|&i| row[i] >= self.cfg.threshold)
-                    .map(|i| dr.delta_of(i))
-                    .collect()
-            })
-            .collect();
-        s.give(scores);
-        out
-    }
-
-    /// Crate-internal: encode a history window (shared with distillation).
-    pub(crate) fn encode_hist(cfg: &DeltaPredictorConfig, hist: &[(u64, u64)]) -> ModalInput {
-        Self::encode(cfg, hist)
+        dedup_chunked(hists, |hists| {
+            let mut scores = self.logits_batch_in(hists, phase, s);
+            Sigmoid::infer_inplace(&mut scores);
+            let out = (0..hists.len())
+                .map(|b| {
+                    let row = scores.row(b);
+                    top_k_indices(row, k)
+                        .into_iter()
+                        .filter(|&i| row[i] >= self.cfg.threshold)
+                        .map(|i| dr.delta_of(i))
+                        .collect()
+                })
+                .collect();
+            s.give(scores);
+            out
+        })
     }
 
     /// Table 6 metric: micro-F1 of the thresholded bitmap against the
     /// ground-truth future-delta bitmap over a test trace.
     pub fn evaluate_f1(&self, records: &[MemRecord], tc: &TrainCfg, max_samples: usize) -> Prf {
         let t = tc.history;
-        let usable = records.len().saturating_sub(t + self.cfg.look_forward);
-        let stride = (usable / max_samples.max(1)).max(1);
         let mut preds = Vec::new();
         let mut targs = Vec::new();
         let mut s = ScratchArena::new();
-        let mut i = 0usize;
-        while i + t + self.cfg.look_forward < records.len() && preds.len() < max_samples {
-            let pos = i + t - 1;
-            let phase = records[pos].phase as usize % self.num_phases;
-            let hist: Vec<(u64, u64)> = records[i..i + t]
-                .iter()
-                .map(|rec| (rec.block(), rec.pc))
-                .collect();
+        for (phase, i) in self.walk(records, t, max_samples) {
+            let hist = Self::window(records, i, t);
             let mut scores = self.predict_logits_in(&hist, phase, &mut s);
             Sigmoid::infer_inplace(&mut scores);
-            let target = Self::label_bitmap(&self.cfg, records, pos);
+            let target = Self::label_bitmap(&self.cfg, records, i + t - 1);
             preds.push(
                 scores
                     .data
@@ -516,42 +352,26 @@ impl DeltaPredictor {
             );
             targs.push(target.data.iter().map(|&v| v > 0.5).collect());
             s.give(scores);
-            i += stride;
         }
         multilabel_f1(&preds, &targs)
     }
 
     /// Frees every phase model's gradients and Adam moments once training
-    /// is over ([`Module::finish_training`]); inference is unaffected.
+    /// is over ([`mpgraph_ml::layers::Module::finish_training`]); inference
+    /// is unaffected.
     pub fn finish_training(&mut self) {
-        for (b, h) in &mut self.models {
-            b.finish_training();
-            h.finish_training();
-        }
+        self.models.finish_training();
     }
 
     /// Total trainable parameters across all phase models (Table 8).
     pub fn num_params(&self) -> usize {
-        self.models
-            .iter()
-            .map(|(b, h)| b.num_params() + h.num_params())
-            .sum()
+        self.models.num_params()
     }
 
     /// Little-endian bytes of every trainable weight in traversal order —
     /// the byte-level fingerprint the determinism tests compare.
     pub fn weight_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut push = |p: &mpgraph_ml::layers::Param| {
-            for v in &p.w.data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        };
-        for (b, h) in self.models.iter() {
-            b.for_each_param_ref(&mut push);
-            h.for_each_param_ref(&mut push);
-        }
-        out
+        self.models.weight_bytes()
     }
 }
 
@@ -816,8 +636,8 @@ mod tests {
         };
         let ps = DeltaPredictor::train(&trace, 2, Variant::AmmaPs, cfg, &tc);
         let single = DeltaPredictor::train(&trace, 2, Variant::Amma, cfg, &tc);
-        assert_eq!(ps.models.len(), 2);
-        assert_eq!(single.models.len(), 1);
+        assert_eq!(ps.models.models.len(), 2);
+        assert_eq!(single.models.models.len(), 1);
         assert_eq!(ps.num_params(), 2 * single.num_params());
     }
 }

@@ -30,6 +30,7 @@ pub mod latency;
 pub mod livetel;
 pub mod obs;
 pub mod page_predictor;
+mod phase_models;
 pub mod prefetcher;
 pub mod serve;
 #[cfg(test)]

@@ -9,20 +9,17 @@
 //! is close to uniform across the four cores' positions.
 
 use crate::amma::{AmmaConfig, ModalInput};
-use crate::backbone::{Backbone, Int8Model, Served};
-use crate::delta_predictor::FUSED_BATCH_WINDOWS;
+use crate::backbone::Backbone;
+use crate::phase_models::{dedup_chunked, PhaseModel, PhaseModels};
 use crate::variants::Variant;
 use mpgraph_frameworks::MemRecord;
-use mpgraph_ml::guard::{GuardAction, TrainGuard};
-use mpgraph_ml::layers::{Embedding, Linear, Module, Project, Sigmoid};
+use mpgraph_ml::layers::{Embedding, Linear, Sigmoid};
 use mpgraph_ml::loss::{bce_with_logits, softmax_cross_entropy};
 use mpgraph_ml::metrics::top_k_indices;
-use mpgraph_ml::optim::Adam;
 use mpgraph_ml::tensor::{rng, Matrix};
 use mpgraph_ml::ScratchArena;
-use mpgraph_prefetchers::mlcommon::{dedup_lanes, pc_feature, PageVocab};
+use mpgraph_prefetchers::mlcommon::{pc_feature, PageVocab};
 use mpgraph_prefetchers::TrainCfg;
-use rayon::prelude::*;
 
 /// Output head style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,43 +54,17 @@ impl Default for PagePredictorConfig {
     }
 }
 
-#[derive(Clone)]
-pub(crate) struct PageModel {
-    pub(crate) embed: Embedding,
-    pub(crate) backbone: Backbone,
-    /// Softmax head: projection to the embedding space — logits come from
-    /// the dot product with the (tied) embedding table, which makes the
-    /// pointer-like "one of the recently seen pages" prediction that page
-    /// streams demand easy to express. BinaryEncoded head: a plain linear
-    /// layer to `log2(vocab)` bits.
-    pub(crate) head: Linear,
-    pub(crate) tied: bool,
-    /// Int8 snapshot, filled by [`PagePredictor::quantize`]. `None`
-    /// means the f32 weights serve.
-    pub(crate) int8: Option<Int8Model>,
-}
-
-impl PageModel {
-    fn served(&self) -> Served<'_> {
-        Served {
-            backbone: &self.backbone,
-            head: &self.head,
-            tied: self.tied.then_some(&self.embed),
-            int8: self.int8.as_ref(),
-        }
-    }
-}
-
 /// The temporal page predictor, in any of the five Table 7 variants.
 /// `Clone` duplicates the trained weights and vocabulary, so a serving
 /// layer can stamp out per-stream prefetchers from one trained instance.
 #[derive(Clone)]
 pub struct PagePredictor {
-    pub variant: Variant,
     pub cfg: PagePredictorConfig,
     pub vocab: PageVocab,
-    pub(crate) models: Vec<PageModel>,
-    pub(crate) num_phases: usize,
+    /// One model per phase for AMMA-PS, otherwise one. Softmax heads are
+    /// tied to the token embedding; BinaryEncoded heads are a plain
+    /// linear layer to `log2(vocab)` bits.
+    pub(crate) models: PhaseModels,
     /// Bits used by the binary-encoded head.
     bits: usize,
     pub final_loss: f32,
@@ -105,7 +76,7 @@ pub struct PagePredictor {
 
 impl PagePredictor {
     /// Binary target for token `t` with `bits` bits (LSB first).
-    fn binary_target(token: usize, bits: usize) -> Matrix {
+    pub(crate) fn binary_target(token: usize, bits: usize) -> Matrix {
         let mut m = Matrix::zeros(1, bits);
         for b in 0..bits {
             m.data[b] = ((token >> b) & 1) as f32;
@@ -123,6 +94,61 @@ impl PagePredictor {
             }
         }
         token.min(vocab_len.saturating_sub(1))
+    }
+
+    /// An untrained predictor over `records`' page vocabulary, drawn from
+    /// `seed`.
+    pub(crate) fn untrained(
+        records: &[MemRecord],
+        num_phases: usize,
+        variant: Variant,
+        cfg: PagePredictorConfig,
+        seed: u64,
+    ) -> Self {
+        let bits = (usize::BITS - (cfg.page_vocab - 1).leading_zeros()) as usize;
+        let tied = cfg.head == PageHead::Softmax;
+        // A tied head projects to the embedding space.
+        let out_dim = if tied { cfg.embed_dim } else { bits };
+        let mut r = rng(seed);
+        let models = PhaseModels::new(variant, num_phases, |phases| {
+            let embed = Embedding::new(cfg.page_vocab, cfg.embed_dim, &mut r);
+            let mut backbone =
+                Backbone::new(variant.backbone_kind(), cfg.embed_dim, 1, cfg.amma, &mut r);
+            if variant.is_phase_informed() {
+                backbone = backbone.with_phase_embedding(phases, &mut r);
+            }
+            let head = Linear::new(backbone.out_dim(), out_dim, &mut r);
+            PhaseModel::new(Some(embed), backbone, head, tied)
+        });
+        PagePredictor {
+            cfg,
+            vocab: PageVocab::build(records, cfg.page_vocab),
+            models,
+            bits,
+            final_loss: f32::NAN,
+            train_steps: 0,
+            train_rollbacks: 0,
+        }
+    }
+
+    /// Training forward of one window of `(token, pc, phase)` items to the
+    /// head output, embedding the tokens as the address modality.
+    pub(crate) fn forward_window(
+        m: &mut PhaseModel,
+        window: &[(usize, u64, u8)],
+        phase: usize,
+    ) -> Matrix {
+        let tokens: Vec<usize> = window.iter().map(|w| w.0).collect();
+        let addr = m
+            .embed
+            .as_mut()
+            .expect("page models embed their tokens")
+            .forward(&tokens);
+        let mut pc = Matrix::zeros(window.len(), 1);
+        for (j, w) in window.iter().enumerate() {
+            pc.data[j] = pc_feature(w.1);
+        }
+        m.forward(&ModalInput { addr, pc }, phase)
     }
 
     pub fn train(
@@ -146,51 +172,15 @@ impl PagePredictor {
         tc: &TrainCfg,
         sink: Option<&crate::TrainEventSink>,
     ) -> Self {
-        let vocab = PageVocab::build(records, cfg.page_vocab);
-        let bits = (usize::BITS - (cfg.page_vocab - 1).leading_zeros()) as usize;
-        let out_dim = match cfg.head {
-            PageHead::Softmax => cfg.page_vocab,
-            PageHead::BinaryEncoded => bits,
-        };
-        let model_count = if variant.is_phase_specific() {
-            num_phases
-        } else {
-            1
-        };
-        let mut r = rng(tc.seed ^ 0x9A6E);
-        let mut models: Vec<PageModel> = (0..model_count)
-            .map(|_| {
-                let embed = Embedding::new(cfg.page_vocab, cfg.embed_dim, &mut r);
-                let mut backbone =
-                    Backbone::new(variant.backbone_kind(), cfg.embed_dim, 1, cfg.amma, &mut r);
-                if variant.is_phase_informed() {
-                    backbone = backbone.with_phase_embedding(num_phases, &mut r);
-                }
-                let tied = cfg.head == PageHead::Softmax;
-                let head = if tied {
-                    // Project to the embedding space for the tied product.
-                    Linear::new(backbone.out_dim(), cfg.embed_dim, &mut r)
-                } else {
-                    Linear::new(backbone.out_dim(), out_dim, &mut r)
-                };
-                PageModel {
-                    embed,
-                    backbone,
-                    head,
-                    tied,
-                    int8: None,
-                }
-            })
-            .collect();
-        let mut opts: Vec<Adam> = (0..model_count).map(|_| Adam::new(tc.lr)).collect();
-        let mut guards: Vec<TrainGuard> = (0..model_count)
-            .map(|_| TrainGuard::new(crate::prefetcher::TRAIN_CHECKPOINT_INTERVAL))
-            .collect();
-
+        let mut p = Self::untrained(records, num_phases, variant, cfg, tc.seed ^ 0x9A6E);
         // Per-core token/pc/phase subsequences (see module docs).
         let mut per_core: Vec<Vec<(usize, u64, u8)>> = vec![Vec::new(); 8];
         for rec in records {
-            per_core[(rec.core as usize) % 8].push((vocab.token_of(rec.page()), rec.pc, rec.phase));
+            per_core[(rec.core as usize) % 8].push((
+                p.vocab.token_of(rec.page()),
+                rec.pc,
+                rec.phase,
+            ));
         }
         let t = tc.history;
         let seqs: Vec<Vec<(usize, u64, u8)>> =
@@ -199,227 +189,84 @@ impl PagePredictor {
         let usable = total.saturating_sub((t + 1) * seqs.len().max(1));
         let stride = (usable / tc.max_samples.max(1)).max(1);
 
-        // Serial data-only walk over the per-core cursors: assign every
-        // (sequence, window) sample to its phase model, in the exact order
-        // the old interleaved loop visited them.
-        let mut schedules: Vec<Vec<(usize, usize)>> = vec![Vec::new(); model_count];
-        {
-            let mut count = 0usize;
-            let mut cursors: Vec<usize> = vec![0; seqs.len()];
-            let mut which = 0usize;
-            while count < tc.max_samples && !seqs.is_empty() {
-                let sidx = which % seqs.len();
-                which += 1;
-                let seq = &seqs[sidx];
-                let i = cursors[sidx];
-                if i + t >= seq.len() {
-                    if cursors
-                        .iter()
-                        .zip(seqs.iter())
-                        .all(|(c, s)| c + t >= s.len())
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                cursors[sidx] += stride;
-                let phase = seq[i + t - 1].2 as usize % num_phases.max(1);
-                let midx = if variant.is_phase_specific() {
-                    phase
-                } else {
-                    0
-                };
-                schedules[midx].push((sidx, i));
-                count += 1;
-            }
-        }
-
-        // Per-model training fanned out over threads (see
-        // [`DeltaPredictor::train`] for the determinism argument).
-        type Job<'a> = (
-            (usize, &'a mut PageModel, &'a mut Adam),
-            (&'a mut TrainGuard, &'a Vec<(usize, usize)>),
-        );
-        let jobs: Vec<Job<'_>> = models
-            .iter_mut()
-            .zip(opts.iter_mut())
-            .zip(guards.iter_mut().zip(schedules.iter()))
-            .enumerate()
-            .map(|(midx, ((m, opt), rest))| ((midx, m, opt), rest))
-            .collect();
-        let stats: Vec<(f32, usize, u64)> = jobs
-            .into_par_iter()
-            .map(|((midx, m, opt), (guard, schedule))| {
-                Self::train_one_model(
-                    &seqs, num_phases, bits, tc, m, opt, guard, schedule, midx, sink,
-                )
-            })
-            .collect();
-        let loss_sum: f32 = stats.iter().map(|&(l, _, _)| l).sum();
-        let count: usize = stats.iter().map(|&(_, c, _)| c).sum();
-        let train_steps: u64 = stats.iter().map(|&(_, _, s)| s).sum();
-        let train_rollbacks: u64 = guards.iter().map(|g| g.rollbacks as u64).sum();
-        let final_loss = if count > 0 {
-            loss_sum / count as f32
-        } else {
-            f32::NAN
-        };
-        PagePredictor {
-            variant,
-            cfg,
-            vocab,
-            models,
-            num_phases: num_phases.max(1),
-            bits,
-            final_loss,
-            train_steps,
-            train_rollbacks,
-        }
-    }
-
-    /// Trains one phase model over its precomputed (sequence, window)
-    /// schedule for all epochs. Returns the last completed epoch's
-    /// (loss sum, sample count).
-    #[allow(clippy::too_many_arguments)]
-    fn train_one_model(
-        seqs: &[Vec<(usize, u64, u8)>],
-        num_phases: usize,
-        bits: usize,
-        tc: &TrainCfg,
-        m: &mut PageModel,
-        opt: &mut Adam,
-        guard: &mut TrainGuard,
-        schedule: &[(usize, usize)],
-        midx: usize,
-        sink: Option<&crate::TrainEventSink>,
-    ) -> (f32, usize, u64) {
-        let t = tc.history;
-        let mut last = (0.0f32, 0usize);
-        let mut steps = 0u64;
-        'epochs: for _ in 0..tc.epochs {
-            let mut count = 0usize;
-            let mut loss_sum = 0.0f32;
-            for &(sidx, i) in schedule {
-                let seq = &seqs[sidx];
-                let phase = seq[i + t - 1].2 as usize % num_phases.max(1);
-                let target_tok = seq[i + t].0;
-                let hist: Vec<(usize, u64)> = seq[i..i + t]
+        // Round-robin walk over the per-core cursors: one strided
+        // `(phase, (sequence, window start))` sample per core in turn.
+        let mut samples = Vec::new();
+        let mut cursors: Vec<usize> = vec![0; seqs.len()];
+        let mut which = 0usize;
+        while samples.len() < tc.max_samples && !seqs.is_empty() {
+            let sidx = which % seqs.len();
+            which += 1;
+            let i = cursors[sidx];
+            if i + t >= seqs[sidx].len() {
+                if cursors
                     .iter()
-                    .map(|&(tok, pc, _)| (tok, pc))
-                    .collect();
-                let tokens: Vec<usize> = hist.iter().map(|&(tk, _)| tk).collect();
-                let addr = m.embed.forward(&tokens);
-                let mut pc = Matrix::zeros(hist.len(), 1);
-                for (j, &(_, pcv)) in hist.iter().enumerate() {
-                    pc.data[j] = pc_feature(pcv);
+                    .zip(seqs.iter())
+                    .all(|(c, s)| c + t >= s.len())
+                {
+                    break;
                 }
-                let x = ModalInput { addr, pc };
-                let pooled = m.backbone.forward(&x, phase);
-                let (loss, dp) = if m.tied {
-                    // logits = proj(pooled) · E^T (tied with the embedding).
-                    let z = m.head.forward(&pooled); // [1, e]
-                    let logits = z.matmul_bt(&m.embed.table.w); // [1, vocab]
+                continue;
+            }
+            cursors[sidx] += stride;
+            samples.push((p.models.phase_of(seqs[sidx][i + t - 1].2), (sidx, i)));
+        }
+
+        let bits = p.bits;
+        (p.final_loss, p.train_steps, p.train_rollbacks) = p.models.fit(
+            samples,
+            tc.epochs,
+            tc.lr,
+            "page",
+            sink,
+            |m, phase, &(sidx, i), _| {
+                let seq = &seqs[sidx];
+                let z = Self::forward_window(m, &seq[i..i + t], phase);
+                let target_tok = seq[i + t].0;
+                let (loss, d_z) = if m.tied {
+                    let e = m.embed.as_mut().expect("page models embed their tokens");
+                    // logits = z · Eᵀ (tied with the embedding).
+                    let logits = z.matmul_bt(&e.table.w); // [1, vocab]
                     let (loss, dl) = softmax_cross_entropy(&logits, &[target_tok]);
                     // d_z = dl · E ; dE[v] += dl[v] · z.
-                    let d_z = dl.matmul(&m.embed.table.w);
-                    let e_dim = m.embed.table.w.cols;
-                    for v in 0..m.embed.table.w.rows {
+                    let d_z = dl.matmul(&e.table.w);
+                    let e_dim = e.table.w.cols;
+                    for v in 0..e.table.w.rows {
                         let g = dl.data[v];
                         if g != 0.0 {
-                            let row = &mut m.embed.table.g.data[v * e_dim..(v + 1) * e_dim];
+                            let row = &mut e.table.g.data[v * e_dim..(v + 1) * e_dim];
                             for (gv, &zv) in row.iter_mut().zip(z.data.iter()) {
                                 *gv += g * zv;
                             }
                         }
                     }
-                    (loss, m.head.backward(&d_z))
+                    (loss, d_z)
                 } else {
-                    let logits = m.head.forward(&pooled);
-                    let (loss, dl) =
-                        bce_with_logits(&logits, &Self::binary_target(target_tok, bits));
-                    (loss, m.head.backward(&dl))
+                    bce_with_logits(&z, &Self::binary_target(target_tok, bits))
                 };
-                let (d_addr, _d_pc) = m.backbone.backward(&dp);
-                m.embed.backward(&d_addr);
-                opt.step(&mut m.embed);
-                opt.step(&mut m.backbone);
-                opt.step(&mut m.head);
-                count += 1;
-                steps += 1;
-                match guard.observe(
-                    loss,
-                    &mut [
-                        &mut m.embed as &mut dyn Module,
-                        &mut m.backbone as &mut dyn Module,
-                        &mut m.head as &mut dyn Module,
-                    ],
-                    &mut opt.lr,
-                ) {
-                    GuardAction::Continue => loss_sum += loss,
-                    GuardAction::RolledBack { new_lr } => {
-                        count -= 1;
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "page".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: new_lr as f64,
-                                exhausted: false,
-                            });
-                        }
-                    }
-                    GuardAction::Exhausted => {
-                        if let Some(sink) = sink {
-                            sink.record(crate::obs::TrainRollbackMetrics {
-                                predictor: "page".to_string(),
-                                model: midx as u64,
-                                step: steps,
-                                new_lr: 0.0,
-                                exhausted: true,
-                            });
-                        }
-                        break 'epochs;
-                    }
-                }
-            }
-            last = (loss_sum, count);
-        }
-        (last.0, last.1, steps)
-    }
-
-    fn model_for(&self, phase: usize) -> &PageModel {
-        if self.variant.is_phase_specific() {
-            &self.models[phase % self.models.len()]
-        } else {
-            &self.models[0]
-        }
+                m.backward(&d_z);
+                loss
+            },
+        );
+        p
     }
 
     /// Builds int8 snapshots of every phase model (backbone, head, and —
     /// for tied Softmax heads — the vocabulary product over the embedding
     /// table). Serving then runs through the i8×i8→i32 kernels.
     pub fn quantize(&mut self) {
-        for m in &mut self.models {
-            m.int8 = Some(Int8Model::new(
-                &m.backbone,
-                &m.head,
-                m.tied.then_some(&m.embed),
-            ));
-        }
+        self.models.quantize();
     }
 
     pub fn is_quantized(&self) -> bool {
-        !self.models.is_empty() && self.models.iter().all(|m| m.int8.is_some())
+        self.models.is_quantized()
     }
 
     /// Int8 model size across all phase models. The token-embedding lookup
     /// table stays f32 (it is indexed, never multiplied on the input side)
     /// and is counted at full width.
     pub fn quant_storage_bytes(&self) -> Option<usize> {
-        self.models
-            .iter()
-            .map(|m| Some(m.int8.as_ref()?.storage_bytes() + m.embed.storage_bytes()))
-            .sum()
+        self.models.quant_storage_bytes()
     }
 
     /// Raw head logits `[batch, out]` for `hists.len()` same-length
@@ -439,18 +286,19 @@ impl PagePredictor {
             hists.iter().all(|h| h.len() == t),
             "fused page batch requires equal-length histories"
         );
-        let m = self.model_for(phase);
+        let m = self.models.model_for(phase);
         let tokens: Vec<usize> = hists
             .iter()
             .flat_map(|h| h.iter().map(|&(tk, _)| tk))
             .collect();
-        let addr = m.embed.infer_in(&tokens, s);
+        let embed = m.embed.as_ref().expect("page models embed their tokens");
+        let addr = embed.infer_in(&tokens, s);
         let mut pc = s.take(batch * t, 1);
         for (i, &(_, pcv)) in hists.iter().flat_map(|h| h.iter()).enumerate() {
             pc.data[i] = pc_feature(pcv);
         }
         let x = ModalInput { addr, pc };
-        let logits = m.served().logits_in(&x, batch, phase, s);
+        let logits = m.logits_in(&x, batch, phase, s);
         s.give(x.addr);
         s.give(x.pc);
         logits
@@ -483,9 +331,9 @@ impl PagePredictor {
     }
 
     /// Batched [`Self::predict_pages_in`] over `hists.len()` same-length
-    /// (token, pc) windows sharing one phase, run as one fused forward.
-    /// Per-window outputs are bit-identical to calling
-    /// [`Self::predict_pages_in`] per window.
+    /// (token, pc) windows sharing one phase, run as fused, deduplicated
+    /// forwards (`dedup_chunked`). Per-window outputs are bit-identical
+    /// to calling [`Self::predict_pages_in`] per window.
     pub fn predict_pages_batch_in(
         &self,
         hists: &[&[(usize, u64)]],
@@ -493,58 +341,41 @@ impl PagePredictor {
         k: usize,
         s: &mut ScratchArena,
     ) -> Vec<Vec<u64>> {
-        let batch = hists.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        // Dedup identical windows before stacking (see
-        // [`DeltaPredictor::predict_deltas_batch_in`]): one computed lane
-        // serves every duplicate bit-exactly.
-        if batch > 1 {
-            let (unique, lane_of) = dedup_lanes(hists);
-            if unique.len() < batch {
-                let uniq = self.predict_pages_batch_in(&unique, phase, k, s);
-                return lane_of.iter().map(|&i| uniq[i].clone()).collect();
-            }
-        }
-        if batch > FUSED_BATCH_WINDOWS {
-            return hists
-                .chunks(FUSED_BATCH_WINDOWS)
-                .flat_map(|c| self.predict_pages_batch_in(c, phase, k, s))
-                .collect();
-        }
-        let mut logits = self.logits_batch_in(hists, phase, s);
-        let out = match self.cfg.head {
-            PageHead::Softmax => {
-                // Head capacity is `page_vocab`, but only `vocab.len()`
-                // slots were ever trained. Slots past that are random-init
-                // weights whose logits can win top-k, and since they
-                // resolve to no page they would starve downstream
-                // consumers (the CSTP temporal chain breaks before its
-                // PBOT lookup when no page comes back).
-                let valid = self.vocab.len().min(logits.cols).max(1);
-                (0..batch)
-                    .map(|b| {
-                        top_k_indices(&logits.row(b)[..valid], k + 1)
-                            .into_iter()
-                            .filter_map(|tk| self.vocab.page_of(tk))
-                            .take(k)
-                            .collect()
-                    })
-                    .collect()
-            }
-            PageHead::BinaryEncoded => {
-                Sigmoid::infer_inplace(&mut logits);
-                (0..batch)
-                    .map(|b| {
-                        let tok = Self::decode_bits(logits.row(b), self.vocab.len());
-                        self.vocab.page_of(tok).into_iter().take(k).collect()
-                    })
-                    .collect()
-            }
-        };
-        s.give(logits);
-        out
+        dedup_chunked(hists, |hists| {
+            let batch = hists.len();
+            let mut logits = self.logits_batch_in(hists, phase, s);
+            let out = match self.cfg.head {
+                PageHead::Softmax => {
+                    // Head capacity is `page_vocab`, but only `vocab.len()`
+                    // slots were ever trained. Slots past that are
+                    // random-init weights whose logits can win top-k, and
+                    // since they resolve to no page they would starve
+                    // downstream consumers (the CSTP temporal chain breaks
+                    // before its PBOT lookup when no page comes back).
+                    let valid = self.vocab.len().min(logits.cols).max(1);
+                    (0..batch)
+                        .map(|b| {
+                            top_k_indices(&logits.row(b)[..valid], k + 1)
+                                .into_iter()
+                                .filter_map(|tk| self.vocab.page_of(tk))
+                                .take(k)
+                                .collect()
+                        })
+                        .collect()
+                }
+                PageHead::BinaryEncoded => {
+                    Sigmoid::infer_inplace(&mut logits);
+                    (0..batch)
+                        .map(|b| {
+                            let tok = Self::decode_bits(logits.row(b), self.vocab.len());
+                            self.vocab.page_of(tok).into_iter().take(k).collect()
+                        })
+                        .collect()
+                }
+            };
+            s.give(logits);
+            out
+        })
     }
 
     /// Table 7 metric: accuracy@`k` — the top-1 predicted page counts as
@@ -570,7 +401,7 @@ impl PagePredictor {
         for seq in per_core.iter().filter(|s| s.len() > t + k) {
             let mut i = 0usize;
             while i + t + k < seq.len() && total < max_samples {
-                let phase = seq[i + t - 1].phase as usize % self.num_phases;
+                let phase = self.models.phase_of(seq[i + t - 1].phase);
                 let hist: Vec<(usize, u64)> = seq[i..i + t]
                     .iter()
                     .map(|rec| (self.vocab.token_of(rec.page()), rec.pc))
@@ -598,37 +429,20 @@ impl PagePredictor {
     }
 
     /// Frees every phase model's gradients and Adam moments once training
-    /// is over ([`Module::finish_training`]); inference is unaffected.
+    /// is over ([`mpgraph_ml::layers::Module::finish_training`]); inference
+    /// is unaffected.
     pub fn finish_training(&mut self) {
-        for m in &mut self.models {
-            m.embed.finish_training();
-            m.backbone.finish_training();
-            m.head.finish_training();
-        }
+        self.models.finish_training();
     }
 
     pub fn num_params(&self) -> usize {
-        self.models
-            .iter()
-            .map(|m| m.embed.num_params() + m.backbone.num_params() + m.head.num_params())
-            .sum()
+        self.models.num_params()
     }
 
     /// Little-endian bytes of every trainable weight in traversal order —
     /// the byte-level fingerprint the determinism tests compare.
     pub fn weight_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut push = |p: &mpgraph_ml::layers::Param| {
-            for v in &p.w.data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        };
-        for m in self.models.iter() {
-            m.embed.for_each_param_ref(&mut push);
-            m.backbone.for_each_param_ref(&mut push);
-            m.head.for_each_param_ref(&mut push);
-        }
-        out
+        self.models.weight_bytes()
     }
 }
 

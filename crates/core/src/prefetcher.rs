@@ -921,6 +921,44 @@ mod tests {
     }
 
     #[test]
+    fn zero_phase_training_builds_one_model_per_predictor() {
+        // `num_phases == 0` (a trace header that declares no phases) must
+        // not leave a phase-specific model set empty: both predictors
+        // train one model, and the prefetcher serves from it. The
+        // unsupervised detector needs no phase labels.
+        let train = workload(1);
+        let (cfg, tc) = quick_cfg();
+        let cfg = MpGraphConfig {
+            detector: DetectorChoice::SoftKswin,
+            ..cfg
+        };
+        let tc = TrainCfg {
+            epochs: 1,
+            max_samples: 60,
+            ..tc
+        };
+        let mut pf = train_mpgraph(&train, 0, cfg, &tc);
+        assert_eq!(pf.delta.models.models.len(), 1);
+        assert_eq!(pf.page.models.models.len(), 1);
+        assert!(pf.delta.train_steps > 0 && pf.page.train_steps > 0);
+        let mut out = Vec::new();
+        for r in &train[..200] {
+            out.clear();
+            pf.on_access(
+                &LlcAccess {
+                    pc: r.pc,
+                    block: r.block(),
+                    core: 0,
+                    is_write: false,
+                    hit: false,
+                    cycle: 0,
+                },
+                &mut out,
+            );
+        }
+    }
+
+    #[test]
     fn quantized_prefetcher_still_prefetches_and_resignatures() {
         let train = workload(1);
         let (cfg, tc) = quick_cfg();

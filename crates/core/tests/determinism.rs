@@ -1,10 +1,12 @@
 //! Determinism of the parallel AMMA-PS training fan-out: two runs with the
 //! same seed must produce byte-identical weights, regardless of how the
-//! per-phase model jobs were scheduled across threads.
+//! per-phase model jobs were scheduled across threads. Training and
+//! distillation share the fan-out, so phase-specific students are checked
+//! too.
 
 use mpgraph_core::{
-    AmmaConfig, DeltaPredictor, DeltaPredictorConfig, PageHead, PagePredictor, PagePredictorConfig,
-    Variant,
+    distill_delta, distill_page, AmmaConfig, DeltaPredictor, DeltaPredictorConfig, DistillCfg,
+    PageHead, PagePredictor, PagePredictorConfig, Variant,
 };
 use mpgraph_frameworks::MemRecord;
 use mpgraph_prefetchers::TrainCfg;
@@ -116,6 +118,43 @@ fn parallel_amma_ps_page_training_is_byte_identical() {
             "{head:?}: weights diverged between same-seed runs"
         );
     }
+}
+
+#[test]
+fn parallel_phase_specific_distillation_is_byte_identical() {
+    let tr = trace();
+    let dcfg = DeltaPredictorConfig {
+        amma: amma(),
+        segments: 6,
+        delta_range: 15,
+        look_forward: 8,
+        threshold: 0.5,
+    };
+    let pcfg = PagePredictorConfig {
+        amma: amma(),
+        page_vocab: 64,
+        embed_dim: 8,
+        head: PageHead::Softmax,
+    };
+    let dt = DeltaPredictor::train(&tr, 3, Variant::AmmaPs, dcfg, &tc());
+    let pt = PagePredictor::train(&tr, 3, Variant::AmmaPs, pcfg, &tc());
+    let dc = DistillCfg::default();
+    let (a, b) = (
+        distill_delta(&dt, &tr, &dc, &tc()),
+        distill_delta(&dt, &tr, &dc, &tc()),
+    );
+    assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
+    assert_eq!(
+        a.weight_bytes(),
+        b.weight_bytes(),
+        "delta students diverged"
+    );
+    let (a, b) = (
+        distill_page(&pt, &tr, &dc, &tc()),
+        distill_page(&pt, &tr, &dc, &tc()),
+    );
+    assert_eq!(a.final_loss.to_bits(), b.final_loss.to_bits());
+    assert_eq!(a.weight_bytes(), b.weight_bytes(), "page students diverged");
 }
 
 #[test]

@@ -147,6 +147,10 @@ pub fn read_binary<R: Read>(r: &mut R) -> Result<Trace, TraceIoError> {
     let mut one = [0u8; 1];
     r.read_exact(&mut one)?;
     let num_phases = one[0];
+    // Every consumer sizes per-phase state from this byte.
+    if num_phases == 0 {
+        return Err(TraceIoError::Corrupt("zero phases"));
+    }
     let n_records = read_u64(r)? as usize;
     let n_transitions = read_u64(r)? as usize;
     let n_iters = read_u64(r)? as usize;
@@ -337,6 +341,20 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes()); // transitions
         buf.extend_from_slice(&0u64.to_le_bytes()); // iteration starts
         assert!(read_binary(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn rejects_a_checksummed_zero_phase_trace() {
+        let t = Trace {
+            num_phases: 0,
+            ..tiny_trace()
+        };
+        let mut buf = Vec::new();
+        write_binary(&t, &mut buf).unwrap();
+        match read_binary(&mut buf.as_slice()) {
+            Err(TraceIoError::Corrupt("zero phases")) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]
